@@ -3,7 +3,7 @@
 //! Measures host-side simulator throughput on a fixed workload and compares
 //! it against the committed baseline in `BENCH_simperf.json` at the repo
 //! root, failing on a regression of more than the tolerance (default: 25%
-//! below baseline events/sec). Three measurements:
+//! below baseline events/sec). Five measurements:
 //!
 //! * **single cell** — LU / HLRC @ 4096 (standard size), best of three
 //!   runs: the simulation hot path (event queue, diffing, protocol tables)
@@ -12,11 +12,6 @@
 //!   recording, causal span tracing and windowed series enabled: the
 //!   recorder/span overhead, reported as a percentage (and asserted
 //!   bit-identical in modeled behavior — same event count);
-//! * **single cell, windowed engine** — the same cell under intra-run
-//!   conservative windowed parallel execution at one worker per core
-//!   (`DSM_SIM_PAR=auto`), asserted bit-identical: the intra-run speedup,
-//!   tracked as `par_events_per_sec` / `par_threads` but not guarded
-//!   (it depends on host core count);
 //! * **single cell, Tardis** — LU / Tardis @ 4096 (standard size), best of
 //!   three: the timestamp-lease hot path (lease renewals, wts bumps,
 //!   recall/ack serialization), tracked as `tardis_events_per_sec` so
@@ -42,9 +37,7 @@
 use std::time::Instant;
 
 use dsm_apps::AppSize;
-use dsm_bench::sweep::{
-    default_jobs, run_cell_fresh, run_cell_fresh_sim, run_cells_fresh, CellSpec,
-};
+use dsm_bench::sweep::{default_jobs, run_cell_fresh, run_cells_fresh, CellSpec};
 use dsm_core::Protocol;
 use dsm_json::Value;
 
@@ -122,36 +115,6 @@ fn main() {
          = {obs_eps:.0} events/sec ({obs_overhead_pct:+.1}% vs off, bit-identical events)"
     );
 
-    // The same cell under the intra-run windowed engine at one worker per
-    // core (what `DSM_SIM_PAR=auto` resolves to). The event count must be
-    // identical — windowed execution commits the exact same history — and
-    // the throughput ratio is the tracked (not guarded) intra-run speedup.
-    // On a single-core host force 2 threads so the windowed engine still
-    // engages (the measurement is then its honest overhead, not a speedup).
-    let par_threads = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
-    let mut par_best_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let cell = run_cell_fresh_sim(&spec, AppSize::Standard, par_threads);
-        let secs = t0.elapsed().as_secs_f64();
-        assert!(
-            cell.check_err.is_none(),
-            "windowed cell failed verification"
-        );
-        assert_eq!(
-            cell.stats.sim_events, events,
-            "windowed engine changed the simulation event count"
-        );
-        par_best_secs = par_best_secs.min(secs);
-    }
-    let par_eps = events as f64 / par_best_secs;
-    println!(
-        "single cell, windowed engine ({par_threads} threads): {events} events in \
-         {par_best_secs:.3}s best-of-3 = {par_eps:.0} events/sec \
-         ({:.2}x vs serial, bit-identical)",
-        best_secs / par_best_secs
-    );
-
     // The same workload under the timestamp-lease protocol. Tracked (not
     // guarded) so regressions on the Tardis hot path — lease renewals,
     // wts bumps, the recall/ack serialization — are visible separately
@@ -224,8 +187,6 @@ fn main() {
         "obs_overhead_pct",
         format!("{obs_overhead_pct:.1}").as_str(),
     );
-    out.set("par_threads", par_threads as u64);
-    out.set("par_events_per_sec", par_eps as u64);
     out.set("tardis_cell", "lu/Tardis@4096 standard, best of 3");
     out.set("tardis_cell_events", td_events);
     out.set("tardis_events_per_sec", tardis_eps as u64);

@@ -4,8 +4,14 @@
 //! ```text
 //! diag [APP] [PROTOCOL] [BLOCK] [--json] [--check] [--trace FILE]
 //!      [--critpath] [--series WINDOW_US]
-//!      [--adaptive] [--sweep] [--jobs N] [--fabric SPEC]
+//!      [--adaptive] [--sweep] [--jobs N] [--fabric SPEC] [--mc CONFIG]
+//! diag --help
 //! ```
+//!
+//! APP defaults to `lu`, PROTOCOL to `sc`, BLOCK to 64 (a power of two of
+//! at least 8 bytes). `--help` prints this synopsis; bad input (unknown
+//! application, protocol or flag, an invalid block size, an extra argument)
+//! prints one line to stderr and exits 2.
 //!
 //! Human-readable tables by default; `--json` switches to JSON Lines
 //! (per-node records with the time breakdown, one record per region, then
@@ -48,6 +54,20 @@ use dsm_apps::registry::app;
 use dsm_core::{run_experiment, ExperimentResult, FabricConfig, Protocol, RegionReport, RunConfig};
 use dsm_json::Value;
 use dsm_obs::{chrome_trace, critical_path, jsonl_metrics, series_jsonl, TimeBreakdown};
+
+/// The usage synopsis printed by `--help` (the module doc's first block).
+const USAGE: &str = "\
+usage: diag [APP] [PROTOCOL] [BLOCK] [--json] [--check] [--trace FILE]
+            [--critpath] [--series WINDOW_US]
+            [--adaptive] [--sweep] [--jobs N] [--fabric SPEC] [--mc CONFIG]
+       diag --help
+APP defaults to lu, PROTOCOL (sc|swlrc|hlrc|tardis) to sc, BLOCK to 64.";
+
+/// Reject bad command-line input: one stderr line, exit status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("diag: {msg} (see diag --help)");
+    std::process::exit(2);
+}
 
 /// One JSONL record per region: policy, profiled stats, measured counters.
 fn region_record(r: &RegionReport, decision: Option<&RegionDecision>) -> Value {
@@ -310,6 +330,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "--json" => json = true,
             "--check" => check = true,
             "--adaptive" => adaptive = true,
@@ -357,6 +381,8 @@ fn main() {
                 // one source of truth with non-diag entry points.
                 std::env::set_var("DSM_BENCH_JOBS", n.to_string());
             }
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag:?}")),
+            _ if positional.len() == 3 => usage_error(&format!("unexpected extra argument {a:?}")),
             _ => positional.push(a),
         }
     }
@@ -364,24 +390,29 @@ fn main() {
         run_mc(&spec, json);
     }
     let name = positional.first().map(String::as_str).unwrap_or("lu");
+    let Some(program) = app(name) else {
+        usage_error(&format!("unknown application {name:?}"));
+    };
+    let proto: Protocol = positional
+        .get(1)
+        .map_or("sc", String::as_str)
+        .parse()
+        .unwrap_or_else(|e: String| usage_error(&e));
+    let block_arg = positional.get(2).map(String::as_str).unwrap_or("64");
+    let block: usize = block_arg
+        .parse()
+        .ok()
+        .filter(|b: &usize| b.is_power_of_two() && *b >= 8)
+        .unwrap_or_else(|| {
+            usage_error(&format!(
+                "bad block size {block_arg:?}: must be a power of two of at least 8 bytes"
+            ))
+        });
     if sweep {
         run_sweep(name);
         return;
     }
-    let proto: Protocol = positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("sc")
-        .parse()
-        .unwrap();
-    let block: usize = positional
-        .get(2)
-        .map(String::as_str)
-        .unwrap_or("64")
-        .parse()
-        .unwrap();
 
-    let program = app(name).unwrap();
     // Flag wins over DSM_FABRIC; both share the same spec grammar.
     let fabric = match (fabric_spec, FabricConfig::from_env()) {
         (Some(spec), _) => FabricConfig::parse(&spec),

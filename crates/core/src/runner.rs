@@ -8,7 +8,7 @@ use dsm_mem::Layout;
 use dsm_net::{CostModel, LatencyModel, Notify};
 use dsm_obs::{ObsConfig, ObsReport, SharingProfile};
 use dsm_proto::{final_image, ProtoConfig, ProtoWorld, Protocol};
-use dsm_sim::engine::{run_cluster_with, NodeBody, NodeCtx, SimPar};
+use dsm_sim::engine::{run_cluster_counted, NodeBody, NodeCtx};
 use dsm_stats::{RegionCounters, RunStats};
 
 use crate::api::Dsm;
@@ -79,10 +79,10 @@ pub struct RunConfig {
     /// and the seed selecting the occurrence. The mutation *sites* are only
     /// compiled under the `mutate` feature; without it this field is inert.
     pub mutation: Option<(dsm_proto::Mutation, u64)>,
-    /// Simulator worker-thread cap. 1 (the default) runs the classic fully
-    /// serialized engine; n > 1 runs conservative windowed parallel
-    /// execution, bit-identical to serial (see `DESIGN.md`). Defaults to the
-    /// `DSM_SIM_PAR` environment variable (`auto` = one per core).
+    /// Simulator worker-thread count. The engine is serial-only, so this
+    /// must be 1 (the default); any other value is rejected when the run
+    /// starts. Kept as a field so configurations written as struct literals
+    /// stay valid.
     pub sim_threads: usize,
 }
 
@@ -106,19 +106,8 @@ impl RunConfig {
             fabric: FabricConfig::ideal(),
             check: std::env::var("DSM_CHECK").is_ok_and(|v| !v.is_empty() && v != "0"),
             mutation: None,
-            sim_threads: SimPar::threads_from_env(),
+            sim_threads: 1,
         }
-    }
-
-    /// Same configuration with an explicit simulator thread count (0 =
-    /// one per available core). Overrides `DSM_SIM_PAR`.
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        self
     }
 
     /// Same configuration with per-region policy overrides (mixed mode).
@@ -336,6 +325,10 @@ type McDrive = (
 );
 
 fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) -> RunOutcome {
+    assert_eq!(
+        cfg.sim_threads, 1,
+        "RunConfig::sim_threads must be 1: the simulation engine is serial-only"
+    );
     let (layout, region_protocols) = build_layout(cfg, program.as_ref());
     let size = layout.size();
     let pcfg = ProtoConfig {
@@ -400,15 +393,7 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
             };
             dsm_sim::run_cluster_mc(world, bodies, install)
         }
-        None => {
-            let par = if cfg.sim_threads > 1 {
-                let lookahead = cfg.fabric.lookahead_ns(cfg.latency.min_one_way());
-                SimPar::windowed(cfg.sim_threads, lookahead)
-            } else {
-                SimPar::serial()
-            };
-            run_cluster_with(world, bodies, par)
-        }
+        None => run_cluster_counted(world, bodies),
     };
     // Under a reliable fabric the engine keeps advancing through drained
     // retransmission timers after the last node finishes; the application

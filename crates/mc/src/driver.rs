@@ -514,8 +514,7 @@ fn run_config(cfg: &McConfig, prog: &MicroProgram) -> RunConfig {
     let mut rc = RunConfig::new(cfg.protocol, cfg.block_size)
         .with_nodes(prog.nodes())
         .with_static_homes()
-        .with_fabric(fabric)
-        .with_sim_threads(1);
+        .with_fabric(fabric);
     rc.check = cfg.check;
     rc.obs.spans = false;
     if let Some(m) = cfg.mutation {

@@ -1,25 +1,19 @@
 //! The discrete-event engine: event queue, node scheduling, thread hand-off.
 //!
-//! Two execution modes share one event queue and one set of node threads:
+//! One calendar queue ([`BucketQueue`]) holds every pending event, popped in
+//! global `(time, seq)` order by a single drive loop. Two drive modes share
+//! it:
 //!
-//! * **Serial** ([`SimPar::serial`], the default): exactly one logical entity
-//!   runs at any instant; whichever node thread is active drives the event
-//!   loop and hands control over via condvars.
-//! * **Windowed / conservative PDES** ([`SimPar::windowed`], `threads > 1`):
-//!   the caller's thread becomes a *committer* that pops and executes every
-//!   event in exact global `(time, seq)` order — so all world mutations
-//!   happen in the same order as serial execution and results are
-//!   bit-identical by construction — while up to `threads - 1` node threads
-//!   run their *leading compute* (thread-local application work between DSM
-//!   operations) speculatively ahead of their committed resume. The
-//!   conservative lookahead window (derived from the fabric's minimum
-//!   inter-node latency) bounds which parked nodes are woken early, and
-//!   cross-node events produced inside a window are staged on a separate
-//!   wheel and merged back at window edges in `(time, seq)` order.
+//! * **Serial** ([`run_cluster`], [`run_cluster_counted`]): exactly one
+//!   logical entity runs at any instant; whichever node thread is active
+//!   drives the event loop and hands control over via condvars.
+//! * **Model-checked** ([`run_cluster_mc`]): the same loop, except that every
+//!   set of events tied at the head virtual time is offered to an
+//!   [`McHook`], which picks the one that commits.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use crate::queue::SplitQueue;
+use crate::queue::BucketQueue;
 use crate::rng::fold64;
 use crate::time::Time;
 use crate::NodeId;
@@ -96,61 +90,6 @@ pub struct McInstall<W: World> {
     pub msg_hash: McMsgHash<W::Msg>,
 }
 
-/// Execution mode for [`run_cluster_with`]: worker-thread cap plus the
-/// conservative lookahead bound for windowed execution.
-#[derive(Debug, Clone, Copy)]
-pub struct SimPar {
-    /// Concurrency cap. 1 = fully serialized (the classic engine); n > 1
-    /// lets up to n-1 node threads run speculative leading compute while the
-    /// committer thread executes world phases in global order.
-    pub threads: usize,
-    /// Conservative lookahead L in ns: an event produced for *another* node
-    /// at time t never takes effect before t + L. Derived from the minimum
-    /// one-way network latency (the Table-1 Myrinet floor, ~20 µs one-way);
-    /// ignored in serial mode.
-    pub lookahead_ns: Time,
-}
-
-impl SimPar {
-    /// Fully serialized execution (the default).
-    pub fn serial() -> Self {
-        SimPar {
-            threads: 1,
-            lookahead_ns: 0,
-        }
-    }
-
-    /// Windowed execution with up to `threads` concurrent threads and the
-    /// given lookahead. `threads <= 1` degrades to the serial engine.
-    pub fn windowed(threads: usize, lookahead_ns: Time) -> Self {
-        SimPar {
-            threads: threads.max(1),
-            lookahead_ns,
-        }
-    }
-
-    /// Resolve the `DSM_SIM_PAR` environment knob into a thread count:
-    /// unset or empty → 1 (serial); `auto` or `0` → one thread per available
-    /// core; an integer N → N.
-    pub fn threads_from_env() -> usize {
-        match std::env::var("DSM_SIM_PAR") {
-            Err(_) => 1,
-            Ok(v) => {
-                let v = v.trim();
-                if v.is_empty() {
-                    1
-                } else if v.eq_ignore_ascii_case("auto") || v == "0" {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    v.parse().unwrap_or_else(|_| {
-                        panic!("DSM_SIM_PAR must be a thread count, `auto`, or unset (got {v:?})")
-                    })
-                }
-            }
-        }
-    }
-}
-
 /// Shared mutable state plugged into the engine: the protocol world.
 ///
 /// The engine is generic over the world so that the protocol layer can define
@@ -206,21 +145,16 @@ struct NodeSlot {
 /// node contexts as [`Sched`].
 pub struct SchedInner<M> {
     now: Time,
-    queue: SplitQueue<EventKind<M>>,
+    queue: BucketQueue<EventKind<M>>,
     nodes: Vec<NodeSlot>,
     done_count: usize,
     /// Events popped and processed (resumes, stale resumes, deliveries) —
     /// the simulator's native unit of work, deterministic per run.
     events: u64,
-    /// Windowed mode only: the node at which the currently executing unit
-    /// (message handler or node segment) runs. Pushes addressed at a
-    /// *different* node are cross-node traffic and get staged until the next
-    /// window edge; `None` (startup, between units) stages everything.
-    /// Model-checked runs reuse it to assert handler footprints (a handler
-    /// may only wake/delay its own delivery target).
+    /// Model-checked runs only: the delivery target of the message handler
+    /// currently running, used to assert handler footprints (a handler may
+    /// only wake/delay its own delivery target).
     exec: Option<NodeId>,
-    /// True when running under the windowed (PDES) committer.
-    windowed: bool,
     /// Model-checked runs only: content hash for queued messages. Doubles as
     /// the "mc mode" flag on the scheduler side.
     mc_msg_hash: Option<McMsgHash<M>>,
@@ -236,7 +170,7 @@ pub type Sched<M> = SchedInner<M>;
 
 impl<M> SchedInner<M> {
     /// Standalone scheduler for unit-testing message handlers outside the
-    /// engine: events accumulate in the heap and can be drained with
+    /// engine: events accumulate in the queue and can be drained with
     /// [`SchedInner::take_events`]; nodes start `Ready` so wakes on them
     /// are recorded as pending.
     pub fn for_testing(n: usize) -> Self {
@@ -251,7 +185,7 @@ impl<M> SchedInner<M> {
     /// messages and `None` payloads for resumes.
     pub fn take_events(&mut self) -> Vec<(Time, NodeId, Option<M>)> {
         let mut out = Vec::new();
-        while let Some((at, _, kind)) = self.queue.pop() {
+        while let Some((at, kind)) = self.queue.pop() {
             match kind {
                 EventKind::Msg { to, msg } => out.push((at, to, Some(msg))),
                 EventKind::Resume { node, .. } => out.push((at, node, None)),
@@ -269,7 +203,7 @@ impl<M> SchedInner<M> {
     fn new(n: usize) -> Self {
         SchedInner {
             now: 0,
-            queue: SplitQueue::new(n),
+            queue: BucketQueue::new(),
             nodes: (0..n)
                 .map(|_| NodeSlot {
                     status: Status::Blocked, // set properly at start
@@ -280,7 +214,6 @@ impl<M> SchedInner<M> {
             done_count: 0,
             events: 0,
             exec: None,
-            windowed: false,
             mc_msg_hash: None,
             queue_hash: 0,
         }
@@ -319,23 +252,12 @@ impl<M> SchedInner<M> {
             let h = self.mc_event_hash(at, &kind);
             self.queue_hash ^= h;
         }
-        let target = match &kind {
-            EventKind::Msg { to, .. } => *to,
-            EventKind::Resume { node, .. } => *node,
-        };
-        // In windowed mode, events addressed at a node other than the one
-        // currently executing are cross-node traffic: the lookahead bound
-        // guarantees they land at or past the window edge, so they are
-        // staged and merged at the edge. Self-posts (deferred services,
-        // retransmission timers, wakes) can land inside the window and go
-        // straight into the target's wheel.
-        let cross = self.windowed && self.exec != Some(target);
-        self.queue.push(target, at, kind, cross);
+        self.queue.push(at, kind);
     }
 
     /// Pop the next event, counting it as processed simulator work.
     fn next_event(&mut self) -> Option<(Time, EventKind<M>)> {
-        let ev = self.queue.pop().map(|(at, _, kind)| (at, kind));
+        let ev = self.queue.pop();
         if ev.is_some() {
             self.events += 1;
         }
@@ -425,34 +347,6 @@ impl<M> SchedInner<M> {
     }
 }
 
-/// What a node thread is doing, from the committer's point of view
-/// (windowed mode only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TMode {
-    /// Not yet started (waiting for its first resume).
-    Fresh,
-    /// Parked between segments, waiting for a grant.
-    Parked,
-    /// Running leading compute speculatively ahead of its committed resume;
-    /// it will synchronize at its next world interaction.
-    Spec,
-    /// Holds the turn: its segment is the one being committed, and it has
-    /// exclusive access to the world until the segment ends.
-    Turn,
-}
-
-/// Committer-side scheduling state for windowed execution.
-struct ParDriver {
-    tmode: Vec<TMode>,
-    /// Node threads currently running speculatively.
-    spec_active: usize,
-    /// Cap on concurrent speculative threads (`threads - 1`).
-    spec_slots: usize,
-    /// Set by a node when the committed segment ends (advance/block/finish);
-    /// the committer waits on `commit_cv` for it.
-    seg_done: bool,
-}
-
 struct SimState<W: World> {
     sched: SchedInner<W::Msg>,
     /// Taken out while a handler runs so `deliver` can borrow world and
@@ -460,9 +354,7 @@ struct SimState<W: World> {
     world: Option<W>,
     /// Set if a node thread panicked; everyone else bails out.
     poisoned: bool,
-    /// Windowed-mode driver state (unused in serial mode).
-    par: ParDriver,
-    /// Model-checker hook controlling every commit point (serial mode only).
+    /// Model-checker hook controlling every commit point.
     mc: Option<Box<dyn McHook<W>>>,
 }
 
@@ -471,8 +363,6 @@ struct Shared<W: World> {
     /// One condvar per node for hand-off, plus one for run completion.
     node_cvs: Vec<Condvar>,
     done_cv: Condvar,
-    /// Windowed mode: the committer waits here for segment completion.
-    commit_cv: Condvar,
 }
 
 /// A node's program: one closure per simulated node.
@@ -485,13 +375,6 @@ pub type NodeBody<W> = Box<dyn FnOnce(&mut NodeCtx<W>) + Send>;
 pub struct NodeCtx<W: World> {
     shared: Arc<Shared<W>>,
     node: NodeId,
-    /// True when running under the windowed committer.
-    par: bool,
-    /// True while this thread runs speculative leading compute: it must
-    /// synchronize with its committed resume before touching the world.
-    /// (A `Cell` because it changes under methods that return borrows of
-    /// `shared`; the context is only ever used by its own thread.)
-    spec: std::cell::Cell<bool>,
 }
 
 impl<W: World> NodeCtx<W> {
@@ -506,12 +389,8 @@ impl<W: World> NodeCtx<W> {
     }
 
     /// Current virtual time.
-    ///
-    /// Under windowed execution this synchronizes a speculative thread with
-    /// its committed resume first, so the observed time is exactly the one
-    /// serial execution would see.
     pub fn now(&self) -> Time {
-        self.lock_synced().sched.now
+        self.lock().sched.now
     }
 
     fn lock(&self) -> MutexGuard<'_, SimState<W>> {
@@ -526,73 +405,13 @@ impl<W: World> NodeCtx<W> {
         }
     }
 
-    /// Lock the engine, first waiting out any speculation: if this thread
-    /// ran ahead of its committed resume, park until the committer grants
-    /// the turn. On return the node holds the turn (windowed mode) and the
-    /// world is at exactly the state serial execution would present.
-    fn lock_synced(&self) -> MutexGuard<'_, SimState<W>> {
-        let mut g = self.lock();
-        if self.spec.get() {
-            g.par.spec_active -= 1;
-            self.spec.set(false);
-            while g.par.tmode[self.node] != TMode::Turn {
-                g = self.shared.node_cvs[self.node]
-                    .wait(g)
-                    .unwrap_or_else(|_| panic!("simulation poisoned"));
-                if g.poisoned {
-                    panic!("simulation aborted: another node panicked");
-                }
-            }
-        } else if self.par {
-            debug_assert_eq!(g.par.tmode[self.node], TMode::Turn);
-        }
-        g
-    }
-
-    /// End the committed segment (windowed mode): release the turn, signal
-    /// the committer, and either continue speculatively (when allowed and a
-    /// slot is free) or park until the next grant.
-    fn end_segment(&self, mut g: MutexGuard<'_, SimState<W>>, can_spec: bool) {
-        let me = self.node;
-        debug_assert_eq!(g.par.tmode[me], TMode::Turn);
-        g.par.tmode[me] = TMode::Parked;
-        g.par.seg_done = true;
-        g.sched.exec = None;
-        self.shared.commit_cv.notify_all();
-        if can_spec && g.par.spec_active < g.par.spec_slots {
-            // Keep computing past the yield point: leading compute up to
-            // the next world interaction is thread-local, so running it
-            // early cannot change any observable outcome.
-            g.par.spec_active += 1;
-            g.par.tmode[me] = TMode::Spec;
-            self.spec.set(true);
-            return;
-        }
-        loop {
-            g = self.shared.node_cvs[me]
-                .wait(g)
-                .unwrap_or_else(|_| panic!("simulation poisoned"));
-            if g.poisoned {
-                panic!("simulation aborted: another node panicked");
-            }
-            match g.par.tmode[me] {
-                TMode::Turn => return,
-                TMode::Spec => {
-                    self.spec.set(true);
-                    return;
-                }
-                _ => {}
-            }
-        }
-    }
-
     /// Advance this node's virtual clock by `dt` nanoseconds of computation.
     ///
     /// Events that fall inside the interval are processed; message handlers
     /// may charge extra occupancy to this node via [`Sched::delay`], pushing
     /// the effective resume time further out.
     pub fn advance(&mut self, dt: Time) {
-        let mut g = self.lock_synced();
+        let mut g = self.lock();
         let at = g.sched.now + dt;
         if dt > 0 {
             let from = g.sched.now;
@@ -611,18 +430,12 @@ impl<W: World> NodeCtx<W> {
                 gen,
             },
         );
-        if self.par {
-            // The compute up to the next world interaction is speculation-
-            // safe: continue if a slot is free, else park for a grant.
-            self.end_segment(g, true);
-        } else {
-            drive_serial(&self.shared, g, Some(self.node));
-        }
+        drive_serial(&self.shared, g, Some(self.node));
     }
 
     /// Park this node until a message handler calls [`Sched::wake`] for it.
     pub fn block(&mut self) {
-        let mut g = self.lock_synced();
+        let mut g = self.lock();
         let now = g.sched.now;
         let slot = &mut g.sched.nodes[self.node];
         debug_assert_eq!(slot.status, Status::Running);
@@ -642,15 +455,7 @@ impl<W: World> NodeCtx<W> {
         } else {
             slot.status = Status::Blocked;
         }
-        if self.par {
-            // No speculation past a block: until the wake commits there is
-            // nothing useful to run ahead (the continuation immediately
-            // reads the clock), and the committer's pre-dispatch will wake
-            // us early once our resume is in the window.
-            self.end_segment(g, false);
-        } else {
-            drive_serial(&self.shared, g, Some(self.node));
-        }
+        drive_serial(&self.shared, g, Some(self.node));
     }
 
     /// Run `f` with exclusive access to the world and the scheduler.
@@ -658,72 +463,28 @@ impl<W: World> NodeCtx<W> {
     /// This is how node-side protocol code mutates shared protocol state and
     /// posts messages. The closure runs at the node's current virtual time.
     pub fn world<R>(&mut self, f: impl FnOnce(&mut W, &mut Sched<W::Msg>) -> R) -> R {
-        let mut g = self.lock_synced();
+        let mut g = self.lock();
         let mut world = g.world.take().expect("world re-entrancy");
         let r = f(&mut world, &mut g.sched);
         g.world = Some(world);
         r
     }
 
-    /// Mark this node finished and keep the event loop alive for others
-    /// (serial mode).
+    /// Mark this node finished and keep the event loop alive for others.
     fn finish(&self) {
         let mut g = self.lock();
         let slot = &mut g.sched.nodes[self.node];
         debug_assert_eq!(slot.status, Status::Running);
         slot.status = Status::Done;
         g.sched.done_count += 1;
-        if g.sched.done_count == g.sched.nodes.len() {
-            // Drain in-flight messages so their effects (stats, traffic) are
-            // accounted for even when every node body has returned.
-            loop {
-                let (at, kind) = match mc_next_event(&mut g) {
-                    McPop::Ev(at, kind) => (at, kind),
-                    McPop::Empty => break,
-                    McPop::Prune => {
-                        g.poisoned = true;
-                        for cv in &self.shared.node_cvs {
-                            cv.notify_all();
-                        }
-                        self.shared.done_cv.notify_all();
-                        panic!("{MC_PRUNE}");
-                    }
-                };
-                if let EventKind::Msg { to, msg } = kind {
-                    g.sched.now = at;
-                    let mc_on = g.sched.mc_msg_hash.is_some();
-                    if mc_on {
-                        g.sched.exec = Some(to);
-                    }
-                    let mut world = g.world.take().expect("world re-entrancy");
-                    world.deliver(&mut g.sched, to, msg);
-                    g.world = Some(world);
-                    if mc_on {
-                        g.sched.exec = None;
-                    }
-                }
-            }
-            self.shared.done_cv.notify_all();
-            return;
-        }
-        // Drive until control is handed to another node (or everything is
-        // drained because the remaining nodes are all done).
+        let all_done = g.sched.done_count == g.sched.nodes.len();
+        // Drive until control is handed to another node. Once every node is
+        // done this drains the in-flight messages instead, so their effects
+        // (stats, traffic) are accounted for.
         drive_serial(&self.shared, g, None);
-    }
-
-    /// Mark this node finished (windowed mode): the final segment ends here;
-    /// the committer keeps the event loop alive.
-    fn finish_par(&self) {
-        let mut g = self.lock_synced();
-        let slot = &mut g.sched.nodes[self.node];
-        debug_assert_eq!(slot.status, Status::Running);
-        slot.status = Status::Done;
-        g.sched.done_count += 1;
-        debug_assert_eq!(g.par.tmode[self.node], TMode::Turn);
-        g.par.tmode[self.node] = TMode::Parked;
-        g.par.seg_done = true;
-        g.sched.exec = None;
-        self.shared.commit_cv.notify_all();
+        if all_done {
+            self.shared.done_cv.notify_all();
+        }
     }
 }
 
@@ -749,12 +510,12 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
         };
     }
     loop {
-        let Some((head, _)) = st.sched.queue.next_key() else {
+        let Some((head, _)) = st.sched.queue.peek_key() else {
             return McPop::Empty;
         };
-        let mut tied: Vec<(Time, u64, NodeId, EventKind<W::Msg>)> = Vec::new();
-        while st.sched.queue.next_key().is_some_and(|(t, _)| t == head) {
-            let (at, key, node, kind) = st.sched.queue.pop_keyed().expect("head implies an event");
+        let mut tied: Vec<(Time, u64, EventKind<W::Msg>)> = Vec::new();
+        while st.sched.queue.peek_key().is_some_and(|(t, _)| t == head) {
+            let (at, key, kind) = st.sched.queue.pop_entry().expect("head implies an event");
             if let EventKind::Resume { node: rn, gen } = &kind {
                 if st.sched.nodes[*rn].gen != *gen {
                     // Superseded by a later delay/wake: skip it, counting it
@@ -765,7 +526,7 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
                     continue;
                 }
             }
-            tied.push((at, key, node, kind));
+            tied.push((at, key, kind));
         }
         if tied.is_empty() {
             continue; // the whole tie was stale; move to the next head time
@@ -789,7 +550,7 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
         eh = fold64(eh, st.sched.queue_hash);
         let choices: Vec<McChoice<'_, W::Msg>> = tied
             .iter()
-            .map(|&(_, key, _, ref kind)| McChoice {
+            .map(|&(_, key, ref kind)| McChoice {
                 key,
                 event: match kind {
                     EventKind::Resume { node, .. } => McEvent::Resume { node: *node },
@@ -809,11 +570,12 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
         };
         assert!(pick < tied.len(), "mc hook chose {pick} of {}", tied.len());
         let mut chosen = None;
-        for (i, (at, key, node, kind)) in tied.into_iter().enumerate() {
+        for (i, (at, key, kind)) in tied.into_iter().enumerate() {
             if i == pick {
                 chosen = Some((at, kind));
             } else {
-                st.sched.queue.unpop(node, at, key, kind);
+                // Restore under the original key: same `(time, seq)` slot.
+                st.sched.queue.push_with_seq(at, key, kind);
             }
         }
         let (at, kind) = chosen.expect("pick is in range");
@@ -824,10 +586,10 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
     }
 }
 
-/// Serial event loop: pop and execute events in global `(time, seq)` order
+/// The drive loop: pop and execute events in global `(time, seq)` order
 /// until `me`'s own resume commits (`Some`), or until control is handed to
 /// another node's thread (`None` — the startup kick-off and finishing nodes
-/// hand off and return).
+/// hand off and return; the last node to finish drains the queue).
 fn drive_serial<W: World>(
     shared: &Shared<W>,
     mut g: MutexGuard<'_, SimState<W>>,
@@ -912,147 +674,20 @@ fn drive_serial<W: World>(
     }
 }
 
-/// The windowed-mode committer loop: runs on the caller's thread, executing
-/// every event in exact global `(time, seq)` order. Message handlers run
-/// inline; node segments are granted to their threads one at a time (the
-/// "turn"), so every world phase happens in exactly the serial order —
-/// results are bit-identical to serial execution by construction. Ahead of
-/// the commit point, parked nodes whose resume falls inside the lookahead
-/// window are woken to run leading compute speculatively.
-fn drive_windowed<W: World>(shared: &Arc<Shared<W>>, n: usize, lookahead: Time) {
-    let lookahead = lookahead.max(1);
-    let mut g = match shared.state.lock() {
-        Ok(g) => g,
-        Err(e) => e.into_inner(),
-    };
-    loop {
-        if g.poisoned {
-            panic!("simulation aborted: a node panicked");
-        }
-        // Window maintenance: once the head reaches the window edge, merge
-        // staged cross-node events back (in (time, seq) order) and open the
-        // next window.
-        let Some((t, _)) = g.sched.queue.next_key() else {
-            if g.sched.done_count == n {
-                return;
-            }
-            let statuses: Vec<_> = g.sched.nodes.iter().map(|s| s.status).collect();
-            g.poisoned = true;
-            for cv in &shared.node_cvs {
-                cv.notify_all();
-            }
-            shared.done_cv.notify_all();
-            panic!("simulation deadlock: event queue empty, node states {statuses:?}");
-        };
-        if t >= g.sched.queue.window_end() {
-            g.sched.queue.advance_window(t + lookahead);
-        }
-        predispatch(shared, &mut g);
-        let (at, kind) = g.sched.next_event().expect("head key implies an event");
-        debug_assert!(at >= g.sched.now);
-        match kind {
-            EventKind::Msg { to, msg } => {
-                g.sched.now = at;
-                g.sched.exec = Some(to);
-                let mut world = g.world.take().expect("world re-entrancy");
-                world.deliver(&mut g.sched, to, msg);
-                g.world = Some(world);
-                g.sched.exec = None;
-            }
-            EventKind::Resume { node, gen } => {
-                if g.sched.nodes[node].gen != gen {
-                    continue; // superseded by a later delay/wake
-                }
-                match g.sched.nodes[node].status {
-                    Status::Ready { at: r } => debug_assert_eq!(r, at),
-                    other => panic!("resume for node {node} in state {other:?}"),
-                }
-                g.sched.now = at;
-                g.sched.nodes[node].status = Status::Running;
-                g.sched.exec = Some(node);
-                // Grant the turn. If the thread is parked it wakes here; if
-                // it is running speculatively it picks the turn up at its
-                // next world interaction; if it is fresh it starts its body.
-                g.par.seg_done = false;
-                g.par.tmode[node] = TMode::Turn;
-                shared.node_cvs[node].notify_one();
-                while !g.par.seg_done {
-                    g = shared
-                        .commit_cv
-                        .wait(g)
-                        .unwrap_or_else(|_| panic!("simulation poisoned"));
-                    if g.poisoned {
-                        panic!("simulation aborted: a node panicked");
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Wake parked nodes whose next event is their own (valid) resume inside
-/// the open window: their leading compute is independent of anything still
-/// to commit before it, so they can run speculatively now.
-fn predispatch<W: World>(shared: &Arc<Shared<W>>, g: &mut SimState<W>) {
-    if g.par.spec_active >= g.par.spec_slots {
-        return;
-    }
-    let end = g.sched.queue.window_end();
-    for node in 0..g.sched.nodes.len() {
-        if g.par.spec_active >= g.par.spec_slots {
-            return;
-        }
-        if g.par.tmode[node] != TMode::Parked {
-            continue;
-        }
-        if !matches!(g.sched.nodes[node].status, Status::Ready { .. }) {
-            continue;
-        }
-        let slot_gen = g.sched.nodes[node].gen;
-        let Some((t, _, kind)) = g.sched.queue.peek_node(node) else {
-            continue;
-        };
-        if t >= end {
-            continue;
-        }
-        let EventKind::Resume { gen, .. } = kind else {
-            continue;
-        };
-        if *gen != slot_gen {
-            continue;
-        }
-        g.par.spec_active += 1;
-        g.par.tmode[node] = TMode::Spec;
-        shared.node_cvs[node].notify_one();
-    }
-}
-
 /// Run a simulated cluster to completion and return the final world.
 ///
 /// `bodies` supplies one closure per node; all nodes start at virtual time 0.
 /// Returns the world and the final virtual time (the maximum over all node
 /// completion times and message deliveries).
 pub fn run_cluster<W: World>(world: W, bodies: Vec<NodeBody<W>>) -> (W, Time) {
-    let (w, t, _) = run_cluster_with(world, bodies, SimPar::serial());
+    let (w, t, _) = run_cluster_inner(world, bodies, None);
     (w, t)
 }
 
 /// [`run_cluster`] plus the number of simulator events processed — the
 /// denominator of the events/sec throughput metric.
 pub fn run_cluster_counted<W: World>(world: W, bodies: Vec<NodeBody<W>>) -> (W, Time, u64) {
-    run_cluster_with(world, bodies, SimPar::serial())
-}
-
-/// [`run_cluster_counted`] with an explicit execution mode: the shared entry
-/// point behind every counted/uncounted variant. `par.threads <= 1` runs the
-/// classic fully-serialized engine; anything larger runs the windowed
-/// committer, which produces bit-identical results (see [`SimPar`]).
-pub fn run_cluster_with<W: World>(
-    world: W,
-    bodies: Vec<NodeBody<W>>,
-    par: SimPar,
-) -> (W, Time, u64) {
-    run_cluster_inner(world, bodies, par, None)
+    run_cluster_inner(world, bodies, None)
 }
 
 /// Run a cluster under a model-checker hook: fully serialized, with every
@@ -1064,24 +699,17 @@ pub fn run_cluster_mc<W: World>(
     bodies: Vec<NodeBody<W>>,
     mc: McInstall<W>,
 ) -> (W, Time, u64) {
-    run_cluster_inner(world, bodies, SimPar::serial(), Some(mc))
+    run_cluster_inner(world, bodies, Some(mc))
 }
 
 fn run_cluster_inner<W: World>(
     world: W,
     bodies: Vec<NodeBody<W>>,
-    par: SimPar,
     mc: Option<McInstall<W>>,
 ) -> (W, Time, u64) {
     let n = bodies.len();
     assert!(n > 0, "cluster needs at least one node");
-    // Model checking controls the serial engine only: windowed execution is
-    // an internal-parallelism optimization with identical semantics, so
-    // nothing is lost by forcing threads = 1.
-    let threads = if mc.is_some() { 1 } else { par.threads.max(1) };
-    let windowed = threads > 1;
     let mut sched = SchedInner::new(n);
-    sched.windowed = windowed;
     let (hook, msg_hash) = match mc {
         Some(m) => (Some(m.hook), Some(m.msg_hash)),
         None => (None, None),
@@ -1101,17 +729,10 @@ fn run_cluster_inner<W: World>(
             sched,
             world: Some(world),
             poisoned: false,
-            par: ParDriver {
-                tmode: vec![TMode::Fresh; n],
-                spec_active: 0,
-                spec_slots: threads - 1,
-                seg_done: true,
-            },
             mc: hook,
         }),
         node_cvs: (0..n).map(|_| Condvar::new()).collect(),
         done_cv: Condvar::new(),
-        commit_cv: Condvar::new(),
     });
 
     let handles: Vec<_> = bodies
@@ -1122,12 +743,7 @@ fn run_cluster_inner<W: World>(
             std::thread::Builder::new()
                 .name(format!("dsm-node-{node}"))
                 .spawn(move || {
-                    let mut ctx = NodeCtx {
-                        shared,
-                        node,
-                        par: windowed,
-                        spec: std::cell::Cell::new(false),
-                    };
+                    let mut ctx = NodeCtx { shared, node };
                     // Wait for our first Resume.
                     {
                         let mut g = ctx.lock();
@@ -1143,13 +759,7 @@ fn run_cluster_inner<W: World>(
                     let result =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
                     match result {
-                        Ok(()) => {
-                            if ctx.par {
-                                ctx.finish_par()
-                            } else {
-                                ctx.finish()
-                            }
-                        }
+                        Ok(()) => ctx.finish(),
                         Err(e) => {
                             // Poison the simulation so every parked thread
                             // and the main thread bail out promptly. The
@@ -1163,7 +773,6 @@ fn run_cluster_inner<W: World>(
                                 cv.notify_all();
                             }
                             ctx.shared.done_cv.notify_all();
-                            ctx.shared.commit_cv.notify_all();
                             std::panic::resume_unwind(e);
                         }
                     }
@@ -1172,51 +781,28 @@ fn run_cluster_inner<W: World>(
         })
         .collect();
 
-    if windowed {
-        // The caller's thread is the committer: it executes every event in
-        // global order and grants node segments one turn at a time.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive_windowed(&shared, n, par.lookahead_ns)
-        }));
-        if let Err(e) = r {
-            match shared.state.lock() {
-                Ok(mut g) => g.poisoned = true,
-                Err(p) => p.into_inner().poisoned = true,
-            }
-            for cv in &shared.node_cvs {
-                cv.notify_all();
-            }
-            shared.done_cv.notify_all();
-            shared.commit_cv.notify_all();
-            for h in handles {
-                let _ = h.join();
-            }
-            std::panic::resume_unwind(e);
+    // Kick off node 0: it is Ready at t=0 at the head of the queue, but no
+    // thread is driving yet. Drive until the first hand-off, then wait for
+    // completion.
+    let mut g = match shared.state.lock() {
+        Ok(g) => g,
+        Err(e) => e.into_inner(),
+    };
+    drive_serial(&shared, g, None);
+    g = match shared.state.lock() {
+        Ok(g) => g,
+        Err(e) => e.into_inner(),
+    };
+    loop {
+        if g.sched.done_count == n || g.poisoned {
+            break;
         }
-    } else {
-        // Kick off node 0: it is Ready at t=0 at the head of the queue, but
-        // no thread is driving yet. Drive until the first hand-off, then
-        // wait for completion.
-        let mut g = match shared.state.lock() {
+        g = match shared.done_cv.wait(g) {
             Ok(g) => g,
             Err(e) => e.into_inner(),
         };
-        drive_serial(&shared, g, None);
-        g = match shared.state.lock() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        };
-        loop {
-            if g.sched.done_count == n || g.poisoned {
-                break;
-            }
-            g = match shared.done_cv.wait(g) {
-                Ok(g) => g,
-                Err(e) => e.into_inner(),
-            };
-        }
-        drop(g);
     }
+    drop(g);
 
     // Re-raise the root-cause panic, not one of the cascade panics other
     // threads raise when they notice the poisoned state (the model-checking
@@ -1519,140 +1105,6 @@ mod tests {
             })],
         );
         assert_eq!(w.got, vec![500]);
-    }
-
-    /// Windowed runs of the cross-posting workload must reproduce the
-    /// serial event log, final time, and event count bit-for-bit, for any
-    /// thread count (including more threads than nodes).
-    #[test]
-    fn windowed_matches_serial() {
-        fn run_once(par: SimPar) -> (Vec<(Time, NodeId, u32)>, Time, u64) {
-            let world = TestWorld {
-                log: vec![],
-                wake_on: vec![None; 4],
-            };
-            type TestBody = Box<dyn FnOnce(&mut NodeCtx<TestWorld>) + Send>;
-            let bodies: Vec<TestBody> = (0..4)
-                .map(|i| {
-                    Box::new(move |ctx: &mut NodeCtx<TestWorld>| {
-                        for k in 0..10u32 {
-                            let target = ((i + 1) % 4) as NodeId;
-                            ctx.world(|_, s| {
-                                let at = s.now() + 37;
-                                s.post(target, at, k * 10 + i as u32)
-                            });
-                            ctx.advance(13 + i as u64);
-                        }
-                    }) as TestBody
-                })
-                .collect();
-            let (w, t, ev) = run_cluster_with(world, bodies, par);
-            (w.log, t, ev)
-        }
-        // Cross-node posts land 37ns out: any lookahead <= 37 is valid.
-        let serial = run_once(SimPar::serial());
-        for threads in [2, 3, 8] {
-            assert_eq!(run_once(SimPar::windowed(threads, 37)), serial);
-        }
-    }
-
-    #[test]
-    fn windowed_block_and_wake() {
-        let world = TestWorld {
-            log: vec![],
-            wake_on: vec![None, Some(7)],
-        };
-        let (w, t, _) = run_cluster_with(
-            world,
-            vec![
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.world(|_, s| s.post(1, 250, 7));
-                    ctx.advance(10);
-                }),
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.block(); // until msg 7 arrives at t=250
-                    assert_eq!(ctx.now(), 250);
-                }),
-            ],
-            SimPar::windowed(2, 100),
-        );
-        assert_eq!(w.log, vec![(250, 1, 7)]);
-        assert_eq!(t, 250);
-    }
-
-    #[test]
-    fn windowed_post_done_drain_follows_event_chains() {
-        struct ChainWorld {
-            log: Vec<(Time, u32)>,
-        }
-        impl World for ChainWorld {
-            type Msg = u32;
-            fn deliver(&mut self, sched: &mut Sched<u32>, _to: NodeId, msg: u32) {
-                self.log.push((sched.now(), msg));
-                if msg < 3 {
-                    let at = sched.now() + 100;
-                    sched.post(0, at, msg + 1);
-                }
-            }
-        }
-        let (w, t, _) = run_cluster_with(
-            ChainWorld { log: vec![] },
-            vec![Box::new(|ctx: &mut NodeCtx<ChainWorld>| {
-                ctx.world(|_, s| s.post(0, 1_000, 0));
-            })],
-            SimPar::windowed(4, 50),
-        );
-        assert_eq!(w.log, vec![(1_000, 0), (1_100, 1), (1_200, 2), (1_300, 3)]);
-        assert_eq!(t, 1_300);
-    }
-
-    #[test]
-    fn windowed_pending_wake_is_consumed_by_next_block() {
-        struct WakeEarly;
-        impl World for WakeEarly {
-            type Msg = ();
-            fn deliver(&mut self, sched: &mut Sched<()>, to: NodeId, _msg: ()) {
-                let now = sched.now();
-                sched.wake(to, now + 5);
-            }
-        }
-        let (_, t, _) = run_cluster_with(
-            WakeEarly,
-            vec![
-                Box::new(|ctx: &mut NodeCtx<WakeEarly>| {
-                    ctx.world(|_, s| s.post(1, 10, ()));
-                    ctx.advance(1);
-                }),
-                Box::new(|ctx: &mut NodeCtx<WakeEarly>| {
-                    ctx.advance(100);
-                    ctx.block();
-                    assert_eq!(ctx.now(), 100);
-                }),
-            ],
-            SimPar::windowed(2, 5),
-        );
-        assert_eq!(t, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock")]
-    fn windowed_blocked_forever_panics() {
-        let world = TestWorld {
-            log: vec![],
-            wake_on: vec![None, None],
-        };
-        run_cluster_with(
-            world,
-            vec![
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.block();
-                }),
-                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
-                    ctx.advance(10);
-                }),
-            ],
-            SimPar::windowed(2, 20),
-        );
     }
 
     #[test]

@@ -2,20 +2,15 @@
 
 //! Deterministic discrete-event simulation engine for the DSM reproduction.
 //!
-//! The engine runs one OS thread per simulated cluster node. By default
-//! execution is fully serialized: exactly one logical entity (a node thread
-//! or an in-flight message handler) runs at any instant, under a single
-//! global lock. Events are ordered by `(virtual time, sequence number)`,
-//! where the sequence number is assigned at enqueue time, so a given program
-//! produces exactly the same event order — and therefore the same
-//! statistics — on every run.
-//!
-//! With [`engine::SimPar::windowed`] (or `DSM_SIM_PAR > 1` at the runner
-//! level) the engine switches to conservative windowed parallel execution:
-//! a committer thread still executes every event in exact global order
-//! (keeping results bit-identical to serial), while node threads overlap
-//! their thread-local leading compute within a lookahead window derived
-//! from the minimum inter-node network latency. See `DESIGN.md`.
+//! The engine runs one OS thread per simulated cluster node. Execution is
+//! fully serialized: exactly one logical entity (a node thread or an
+//! in-flight message handler) runs at any instant, under a single global
+//! lock. All pending events sit in one calendar queue, ordered by
+//! `(virtual time, sequence number)`, where the sequence number is assigned
+//! at enqueue time, so a given program produces exactly the same event
+//! order — and therefore the same statistics — on every run. The model
+//! checker ([`run_cluster_mc`]) drives the same loop but picks among events
+//! tied at the head time.
 //!
 //! Node threads interact with the engine through [`NodeCtx`]:
 //!
@@ -35,8 +30,8 @@ pub mod rng;
 pub mod time;
 
 pub use engine::{
-    run_cluster, run_cluster_counted, run_cluster_mc, run_cluster_with, McChoice, McEvent, McHook,
-    McInstall, NodeCtx, Sched, SimPar, World, MC_PRUNE,
+    run_cluster, run_cluster_counted, run_cluster_mc, McChoice, McEvent, McHook, McInstall,
+    NodeCtx, Sched, World, MC_PRUNE,
 };
 pub use time::{Time, MICROS, MILLIS, SECS};
 

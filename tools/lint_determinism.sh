@@ -15,19 +15,30 @@
 #      tests) are listed in tools/lint_determinism_allow.txt with a
 #      justification; everything else fails.
 #
+# A third rule keeps environment knobs out of the engine, the protocols
+# and the model checker: their behaviour is set by explicit configuration
+# values only.
+#
+#   3. env::var — never legal in sim, proto or mc. No allowlist. (fabric
+#      is exempt: FabricConfig::from_env is the DSM_FABRIC parser that the
+#      front ends call.)
+#
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
 set -u
 cd "$(dirname "$0")/.."
 
 DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src"
+ENV_DIRS="crates/sim/src crates/proto/src crates/mc/src"
 ALLOW="tools/lint_determinism_allow.txt"
 status=0
 
-# Print "file:lineno:text" matches for an extended regex, with lines whose
-# code part is a // comment filtered out.
+# Print "file:lineno:text" matches for an extended regex in the given
+# directories, with lines whose code part is a // comment filtered out.
 matches() {
-  grep -rn --include='*.rs' -E "$1" $DIRS 2>/dev/null |
+  local re=$1
+  shift
+  grep -rn --include='*.rs' -E "$re" "$@" 2>/dev/null |
     awk -F':' '{
       text = $0
       sub(/^[^:]*:[^:]*:/, "", text)
@@ -36,14 +47,14 @@ matches() {
     }'
 }
 
-hits=$(matches 'SystemTime::now|Instant::now')
+hits=$(matches 'SystemTime::now|Instant::now' $DIRS)
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: wall-clock time in a deterministic crate (no allowlist for this rule)"
   status=1
 fi
 
-hits=$(matches '\bHashMap\b|\bHashSet\b')
+hits=$(matches '\bHashMap\b|\bHashSet\b' $DIRS)
 if [ -n "$hits" ]; then
   allowed=$(grep -v '^#' "$ALLOW" 2>/dev/null | sed 's/[[:space:]]*$//' | grep -v '^$')
   while IFS= read -r hit; do
@@ -54,6 +65,13 @@ if [ -n "$hits" ]; then
       status=1
     fi
   done <<<"$hits"
+fi
+
+hits=$(matches 'env::var' $ENV_DIRS)
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: environment variable read in sim/proto/mc (no allowlist for this rule)"
+  status=1
 fi
 
 if [ "$status" -eq 0 ]; then
