@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! probe [--json] [APP ...]
+//! probe --help
 //! ```
 //!
 //! Human-readable tables by default; `--json` emits one schema-versioned
@@ -9,20 +10,41 @@
 //! JSON-Lines dialect as `diag --json` (every record is self-describing
 //! via `type` and `schema` fields). Cell schema v2 adds the Tardis lease
 //! counters (`lease_renewals`, `lease_expiries`, `wts_bumps`) as typed
-//! fields; they are zero under the other protocols.
+//! fields; they are zero under the other protocols. An unknown application
+//! or flag prints one line on stderr and exits 2.
 use dsm_apps::registry::app;
 use dsm_core::{run_experiment, Protocol, RunConfig};
 use dsm_json::Value;
 use std::time::Instant;
+
+const USAGE: &str = "\
+usage: probe [--json] [APP ...]
+       probe --help
+APP defaults to lu, ocean-rowwise and volrend-original.";
+
+/// Report a bad invocation on one stderr line and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("probe: {msg} (see probe --help)");
+    std::process::exit(2);
+}
 
 fn main() {
     let mut json = false;
     let mut names: Vec<String> = Vec::new();
     for a in std::env::args().skip(1) {
         match a.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "--json" => json = true,
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag:?}")),
             _ => names.push(a),
         }
+    }
+    // Reject every unknown name before the first (long) simulation runs.
+    if let Some(bad) = names.iter().find(|n| app(n).is_none()) {
+        usage_error(&format!("unknown application {bad:?}"));
     }
     if names.is_empty() {
         names = vec![
@@ -39,7 +61,8 @@ fn main() {
             let mut row = format!("{:8}", p.name());
             for g in [64usize, 256, 1024, 4096] {
                 let t0 = Instant::now();
-                let r = run_experiment(&RunConfig::new(p, g), app(&name).unwrap());
+                let program = app(&name).expect("application validated above");
+                let r = run_experiment(&RunConfig::new(p, g), program);
                 let elapsed = t0.elapsed().as_secs_f64();
                 if json {
                     let t = r.stats.totals();

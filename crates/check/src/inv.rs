@@ -1,7 +1,7 @@
 //! Online protocol invariant mirrors.
 //!
 //! Each mirror independently re-derives a piece of protocol metadata from
-//! the checker hooks and compares it against what the protocol actually
+//! the execution history and compares it against what the protocol actually
 //! produced. The mirrors never read protocol state directly — a protocol
 //! bug that corrupts its own bookkeeping is exactly what they must survive.
 
@@ -280,7 +280,7 @@ impl SwMirror {
 /// execute above its copy's lease against the reader's program timestamp.
 ///
 /// The mirror re-derives the home's `wts`/`rts` tables and every node's
-/// program timestamp from the grant and merge hooks alone. Initial values
+/// program timestamp from the grant and merge records alone. Initial values
 /// bake in the protocol's definition — the golden image is the write at
 /// logical time 1 and every node starts at program timestamp 1 — not its
 /// runtime state.

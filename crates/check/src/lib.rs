@@ -1,17 +1,19 @@
 //! dsm-check: happens-before race detection and online protocol invariant
 //! checking for the simulated DSM cluster.
 //!
-//! [`RunChecker`] implements the [`dsm_proto::Checker`] hook trait. It is
-//! installed on a [`dsm_proto::ProtoWorld`] by the run harness when checking
-//! is requested (`RunConfig::with_check` / `DSM_CHECK=1`) and is entirely
-//! absent otherwise — the hooks observe the protocol but never charge
-//! virtual time or mutate protocol state, so a checked run produces
-//! bit-identical results to an unchecked one.
+//! [`RunChecker`] implements [`dsm_proto::Checker`]: it observes the run's
+//! execution history ([`dsm_proto::History`]), the same record stream that
+//! feeds the counters and the event recorder. It is installed on a
+//! [`dsm_proto::ProtoWorld`]'s sink by the run harness when checking is
+//! requested (`RunConfig::with_check` / `DSM_CHECK=1`) and is entirely
+//! absent otherwise — it observes the protocol but never charges virtual
+//! time or mutates protocol state, so a checked run produces bit-identical
+//! results to an unchecked one.
 //!
 //! Two layers run side by side:
 //!
 //! - a FastTrack-style **race detector** ([`race`]) that rebuilds
-//!   happens-before from the synchronization hooks alone and shadows every
+//!   happens-before from the synchronization records alone and shadows every
 //!   8-byte word of the shared space;
 //! - **protocol invariant mirrors** ([`inv`]) that independently re-derive
 //!   LRC write-notice completeness, HLRC diff coverage and flush
@@ -26,10 +28,7 @@ pub mod inv;
 pub mod race;
 
 use dsm_mem::{BlockId, Layout};
-use dsm_proto::diff::Diff;
-use dsm_proto::msg::Notice;
-use dsm_proto::vt::VClock;
-use dsm_proto::{Checker, Protocol, Violation};
+use dsm_proto::{Checker, History, Protocol, Violation};
 use dsm_sim::{NodeId, Time};
 
 use inv::{FabricMirror, HlMirror, LrcMirror, SwMirror, TdMirror};
@@ -93,12 +92,6 @@ impl RunChecker {
         }
     }
 
-    /// Violations recorded so far (finalize drains them; this is for tests
-    /// and incremental inspection).
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
     fn push(
         &mut self,
         rule: &'static str,
@@ -132,15 +125,8 @@ impl RunChecker {
     fn region_name(&self, addr: usize) -> &str {
         self.layout.regions()[self.layout.region_of_addr(addr)].name()
     }
-}
 
-impl Checker for RunChecker {
-    fn arm(&mut self, me: NodeId, now: Time) {
-        self.det.arm(me);
-        self.sync_ctx[me] = format!("measurement begin @ {now}");
-    }
-
-    fn on_access(&mut self, me: NodeId, addr: usize, len: usize, write: bool, now: Time) {
+    fn access(&mut self, me: NodeId, addr: usize, len: usize, write: bool, now: Time) {
         // Tardis lease legality is checked on every access, armed or not —
         // leases and program timestamps are live from the first fault.
         // Accesses arrive pre-split at block boundaries, so one block per
@@ -170,158 +156,129 @@ impl Checker for RunChecker {
             self.push("hb-race", me, Some(block), now, detail);
         }
     }
+}
 
-    fn lock_release(&mut self, me: NodeId, lock: usize, vt: &VClock, now: Time) {
-        self.lrc.on_lock_release(lock, vt);
-        self.det.release_lock(me, lock);
-        self.sync_ctx[me] = format!("released lock {lock} @ {now}");
-    }
-
-    fn lock_acquire(
-        &mut self,
-        me: NodeId,
-        lock: usize,
-        vt: Option<&VClock>,
-        notices: &[Notice],
-        cur: &VClock,
-        now: Time,
-    ) {
-        if let Some(vt) = vt {
-            let what = format!("lock {lock}");
-            if let Some(f) = self.lrc.check_grant(&what, vt, notices, cur) {
-                self.push_fail(f, me, None, now);
+impl Checker for RunChecker {
+    fn observe(&mut self, me: NodeId, now: Time, ev: &History<'_>) {
+        // Mirror-checked records yield what the mirror found, attributed
+        // to a node and block; the others update state and return.
+        let (fail, node, block) = match *ev {
+            History::MeasureBegin => {
+                self.det.arm(me);
+                self.sync_ctx[me] = format!("measurement begin @ {now}");
+                return;
             }
-            if let Some(f) = self.lrc.check_lock_dominates(lock, vt) {
-                self.push_fail(f, me, None, now);
+            History::Access { addr, len, write } => return self.access(me, addr, len, write, now),
+            History::LockRelease { lock, vt } => {
+                self.lrc.on_lock_release(lock, vt);
+                self.det.release_lock(me, lock);
+                self.sync_ctx[me] = format!("released lock {lock} @ {now}");
+                return;
             }
-        }
-        self.det.acquire_lock(me, lock);
-        self.sync_ctx[me] = format!("acquired lock {lock} @ {now}");
-    }
-
-    fn bar_arrive(&mut self, me: NodeId, bar: usize, _now: Time) {
-        self.det.bar_arrive(me, bar);
-    }
-
-    fn bar_pass(
-        &mut self,
-        me: NodeId,
-        bar: usize,
-        vt: Option<&VClock>,
-        notices: &[Notice],
-        cur: &VClock,
-        skip_join: bool,
-        now: Time,
-    ) {
-        if let Some(vt) = vt {
-            let what = format!("barrier {bar}");
-            if let Some(f) = self.lrc.check_grant(&what, vt, notices, cur) {
-                self.push_fail(f, me, None, now);
+            History::LockAcquire {
+                lock,
+                vt,
+                notices,
+                cur,
+            } => {
+                if let Some(vt) = vt {
+                    let fail = self
+                        .lrc
+                        .check_grant(&format!("lock {lock}"), vt, notices, cur);
+                    let dominated = self.lrc.check_lock_dominates(lock, vt);
+                    for f in fail.into_iter().chain(dominated) {
+                        self.push_fail(f, me, None, now);
+                    }
+                }
+                self.det.acquire_lock(me, lock);
+                self.sync_ctx[me] = format!("acquired lock {lock} @ {now}");
+                return;
             }
-        }
-        self.det.bar_pass(me, bar, skip_join);
-        self.sync_ctx[me] = format!("passed barrier {bar} @ {now}");
-    }
-
-    fn lrc_release(
-        &mut self,
-        me: NodeId,
-        interval: u32,
-        _vt: &VClock,
-        notices: &[Notice],
-        _now: Time,
-    ) {
-        self.lrc.on_release(me, interval, notices);
-        for n in notices {
-            if self.protocol_of(n.block) == Protocol::Hlrc {
-                self.hl.on_notice(n.block, n.writer, n.version);
+            History::BarrierArrive { barrier } => return self.det.bar_arrive(me, barrier),
+            History::BarrierPass {
+                barrier,
+                vt,
+                notices,
+                cur,
+                skip_join,
+            } => {
+                if let Some(vt) = vt {
+                    let what = format!("barrier {barrier}");
+                    if let Some(f) = self.lrc.check_grant(&what, vt, notices, cur) {
+                        self.push_fail(f, me, None, now);
+                    }
+                }
+                self.det.bar_pass(me, barrier, skip_join);
+                self.sync_ctx[me] = format!("passed barrier {barrier} @ {now}");
+                return;
             }
-        }
-    }
-
-    fn hl_diff(
-        &mut self,
-        me: NodeId,
-        block: BlockId,
-        twin: &[u8],
-        cur: &[u8],
-        diff: &Diff,
-        _interval: u32,
-        now: Time,
-    ) {
-        if let Some(f) = self.hl.on_diff(block, twin, cur, diff) {
-            self.push_fail(f, me, Some(block), now);
-        }
-    }
-
-    fn hl_flush(&mut self, block: BlockId, writer: NodeId, interval: u32, now: Time) {
-        if let Some(f) = self.hl.on_flush(block, writer, interval) {
-            self.push_fail(f, writer, Some(block), now);
-        }
-    }
-
-    fn sw_version(&mut self, block: BlockId, version: u32, now: Time) {
-        if let Some(f) = self.sw.on_version(block, version) {
-            self.push_fail(f, 0, Some(block), now);
-        }
-    }
-
-    fn sw_notice(&mut self, me: NodeId, block: BlockId, version: u32, fresh: bool, now: Time) {
-        if let Some(f) = self.sw.on_notice(block, version, fresh) {
-            self.push_fail(f, me, Some(block), now);
-        }
-    }
-
-    fn sc_install(
-        &mut self,
-        me: NodeId,
-        block: BlockId,
-        exclusive: bool,
-        readers: &[NodeId],
-        writers: &[NodeId],
-        now: Time,
-    ) {
-        if let Some(f) = inv::check_sc_install(block, exclusive, readers, writers) {
-            self.push_fail(f, me, Some(block), now);
-        }
-    }
-
-    fn td_read(
-        &mut self,
-        reader: NodeId,
-        block: BlockId,
-        wts: u64,
-        lease: u64,
-        _renewal: bool,
-        _now: Time,
-    ) {
-        self.td.on_read(reader, block, wts, lease);
-    }
-
-    fn td_write(&mut self, writer: NodeId, block: BlockId, new_wts: u64, _rts: u64, now: Time) {
-        if let Some(f) = self.td.on_write(writer, block, new_wts) {
-            self.push_fail(f, writer, Some(block), now);
-        }
-    }
-
-    fn td_merge(&mut self, me: NodeId, pts: u64, _now: Time) {
-        self.td.on_merge(me, pts);
-    }
-
-    fn fabric_frame(
-        &mut self,
-        src: NodeId,
-        to: NodeId,
-        seq: u64,
-        _duplicate: bool,
-        posted: usize,
-        now: Time,
-    ) {
-        if !self.fabric_reliable {
-            return;
-        }
-        if let Some(f) = self.fab.on_frame(src, to, seq, posted) {
-            self.push_fail(f, to, None, now);
+            History::Release {
+                interval, notices, ..
+            } => {
+                self.lrc.on_release(me, interval, notices);
+                for n in notices {
+                    if self.protocol_of(n.block) == Protocol::Hlrc {
+                        self.hl.on_notice(n.block, n.writer, n.version);
+                    }
+                }
+                return;
+            }
+            History::DiffCreate {
+                block,
+                twin,
+                cur,
+                diff,
+                ..
+            } => (self.hl.on_diff(block, twin, cur, diff), me, Some(block)),
+            History::DiffApply {
+                block,
+                writer,
+                interval,
+                ..
+            } => (
+                self.hl.on_flush(block, writer, interval),
+                writer,
+                Some(block),
+            ),
+            History::HomeFlush { block, interval } => {
+                (self.hl.on_flush(block, me, interval), me, Some(block))
+            }
+            History::SwVersion { block, version } => {
+                (self.sw.on_version(block, version), 0, Some(block))
+            }
+            History::SwNotice {
+                block,
+                version,
+                fresh,
+            } => (self.sw.on_notice(block, version, fresh), me, Some(block)),
+            History::ScInstall {
+                block,
+                exclusive,
+                readers,
+                writers,
+            } => {
+                let fail = inv::check_sc_install(block, exclusive, readers, writers);
+                (fail, me, Some(block))
+            }
+            History::LeaseGrant {
+                reader,
+                block,
+                wts,
+                lease,
+                ..
+            } => return self.td.on_read(reader, block, wts, lease),
+            History::WtsGrant {
+                writer, block, wts, ..
+            } => (self.td.on_write(writer, block, wts), writer, Some(block)),
+            History::PtsMerge { pts } => return self.td.on_merge(me, pts),
+            // Delivery checks only apply under the reliable fabric.
+            History::FabricFrame {
+                src, seq, posted, ..
+            } if self.fabric_reliable => (self.fab.on_frame(src, me, seq, posted), me, None),
+            _ => return,
+        };
+        if let Some(f) = fail {
+            self.push_fail(f, node, block, now);
         }
     }
 
@@ -363,6 +320,8 @@ impl Checker for RunChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_proto::msg::Notice;
+    use dsm_proto::vt::VClock;
 
     fn checker(nodes: usize) -> RunChecker {
         let layout = Layout::new(4096, 256);
@@ -370,13 +329,22 @@ mod tests {
         RunChecker::new("unit", nodes, layout, protos, true)
     }
 
+    fn write(c: &mut RunChecker, me: NodeId, addr: usize, now: Time) {
+        let ev = History::Access {
+            addr,
+            len: 8,
+            write: true,
+        };
+        c.observe(me, now, &ev);
+    }
+
     #[test]
     fn race_reports_carry_app_region_and_block_attribution() {
         let mut c = checker(2);
-        c.arm(0, 10);
-        c.arm(1, 10);
-        c.on_access(0, 304, 8, true, 20);
-        c.on_access(1, 304, 8, true, 30);
+        c.observe(0, 10, &History::MeasureBegin);
+        c.observe(1, 10, &History::MeasureBegin);
+        write(&mut c, 0, 304, 20);
+        write(&mut c, 1, 304, 30);
         let v = c.finalize(40);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "hb-race");
@@ -389,31 +357,42 @@ mod tests {
     #[test]
     fn lock_ordered_accesses_are_clean() {
         let mut c = checker(2);
-        c.arm(0, 0);
-        c.arm(1, 0);
+        c.observe(0, 0, &History::MeasureBegin);
+        c.observe(1, 0, &History::MeasureBegin);
         let mut vt = VClock::new(2);
-        c.on_access(0, 0, 8, true, 1);
+        write(&mut c, 0, 0, 1);
         vt.tick(0);
         let notices = [Notice {
             block: 0,
             writer: 0,
             version: 1,
         }];
-        c.lrc_release(0, 1, &vt, &notices, 2);
-        c.lock_release(0, 3, &vt, 2);
-        c.lock_acquire(1, 3, Some(&vt), &notices, &VClock::new(2), 3);
-        c.on_access(1, 0, 8, true, 4);
+        let released = History::Release {
+            interval: 1,
+            vt: &vt,
+            notices: &notices,
+        };
+        c.observe(0, 2, &released);
+        c.observe(0, 2, &History::LockRelease { lock: 3, vt: &vt });
+        let granted = History::LockAcquire {
+            lock: 3,
+            vt: Some(&vt),
+            notices: &notices,
+            cur: &VClock::new(2),
+        };
+        c.observe(1, 3, &granted);
+        write(&mut c, 1, 0, 4);
         assert!(c.finalize(5).is_empty());
     }
 
     #[test]
     fn violations_are_capped_with_a_summary_record() {
         let mut c = checker(2);
-        c.arm(0, 0);
-        c.arm(1, 0);
+        c.observe(0, 0, &History::MeasureBegin);
+        c.observe(1, 0, &History::MeasureBegin);
         for w in 0..(MAX_VIOLATIONS + 10) {
-            c.on_access(0, w * 8, 8, true, 1);
-            c.on_access(1, w * 8, 8, true, 2);
+            write(&mut c, 0, w * 8, 1);
+            write(&mut c, 1, w * 8, 2);
         }
         let v = c.finalize(3);
         assert_eq!(v.len(), MAX_VIOLATIONS + 1);
@@ -423,7 +402,13 @@ mod tests {
     #[test]
     fn sc_install_violation_names_the_stale_holder() {
         let mut c = checker(4);
-        c.sc_install(2, 5, true, &[1], &[], 100);
+        let install = History::ScInstall {
+            block: 5,
+            exclusive: true,
+            readers: &[1],
+            writers: &[],
+        };
+        c.observe(2, 100, &install);
         let v = c.finalize(101);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "sc-exclusive-with-readers");

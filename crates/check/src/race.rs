@@ -2,7 +2,7 @@
 //! cluster's shared space.
 //!
 //! The detector keeps its *own* vector clocks, built purely from the
-//! synchronization hooks (lock release/acquire, barrier arrive/pass), so it
+//! synchronization records (lock release/acquire, barrier arrive/pass), so it
 //! defines the same happens-before relation under every protocol — under SC
 //! the protocol carries no vector times at all, and under the LRC protocols
 //! the detector must not inherit a bug in the protocol's own clocks.

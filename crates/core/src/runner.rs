@@ -348,7 +348,7 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
     };
     let mut world = ProtoWorld::new(pcfg);
     if cfg.check {
-        world.check = Some(Box::new(dsm_check::RunChecker::new(
+        world.sink.check = Some(Box::new(dsm_check::RunChecker::new(
             &program.name(),
             cfg.nodes,
             world.cfg.layout.clone(),
@@ -375,7 +375,7 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
                 prog.run(&mut t);
                 t.flush();
                 let me = ctx.node();
-                ctx.world(move |w, s| w.obs.note_end(me, s.now()));
+                ctx.world(move |w, s| w.sink.obs.note_end(me, s.now()));
             }) as NodeBody<ProtoWorld>
         })
         .collect();
@@ -403,7 +403,7 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
     } else {
         end
     };
-    let obs = world.obs.take_report();
+    let obs = world.sink.obs.take_report();
     let regions = world
         .cfg
         .layout
@@ -416,17 +416,14 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
             len: r.len(),
             block: r.block_size(),
             protocol: world.region_proto[i],
-            counters: world.region_stats[i].clone(),
+            counters: world.sink.region_stats[i].clone(),
         })
         .collect();
-    let profile = world.profile.take();
-    let violations = match world.check.take() {
-        Some(mut c) => c.finalize(end),
-        None => Vec::new(),
-    };
+    let profile = world.sink.profile.take();
+    let violations = world.sink.take_violations(end);
     RunOutcome {
         stats: RunStats {
-            per_node: world.stats.clone(),
+            per_node: world.sink.stats.clone(),
             parallel_time_ns: end.saturating_sub(world.measure_start),
             sequential_time_ns: 0,
             sim_events,

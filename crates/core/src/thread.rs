@@ -1,10 +1,9 @@
 //! The parallel run-time: a [`Dsm`] implementation backed by the simulated
 //! cluster and the coherence protocols.
 
-use dsm_obs::EventKind;
 use dsm_proto::msg::FaultKind;
 use dsm_proto::ops::{self, Attempt};
-use dsm_proto::ProtoWorld;
+use dsm_proto::{History, ProtoWorld};
 use dsm_sim::engine::NodeCtx;
 use dsm_sim::Time;
 
@@ -59,8 +58,9 @@ impl<'a> DsmThread<'a> {
         if self.compute_acc > 0 || self.poll_acc > 0 {
             let (c, p, me) = (self.compute_acc, self.poll_acc, self.me);
             self.ctx.world(move |w, _| {
-                w.stats[me].compute_ns += c;
-                w.stats[me].poll_overhead_ns += p;
+                let st = &mut w.sink.stats[me];
+                st.compute_ns += c;
+                st.poll_overhead_ns += p;
             });
             self.compute_acc = 0;
             self.poll_acc = 0;
@@ -78,35 +78,16 @@ impl<'a> DsmThread<'a> {
         }
     }
 
-    fn fault(&mut self, b: usize, kind: FaultKind) {
+    fn fault(&mut self, block: usize, kind: FaultKind) {
         self.flush();
         let t0 = self.ctx.now();
         let me = self.me;
-        let write = matches!(kind, FaultKind::Write);
-        self.ctx.world(move |w, s| {
-            w.obs
-                .record(me, s.now(), EventKind::FaultBegin { block: b, write });
-            ops::start_fault(w, s, me, b, kind)
-        });
+        self.ctx
+            .world(move |w, s| ops::start_fault(w, s, me, block, kind));
         self.ctx.block();
-        let dt = self.ctx.now() - t0;
-        self.ctx.world(move |w, s| {
-            let st = &mut w.stats[me];
-            match kind {
-                FaultKind::Read => st.read_stall_ns += dt,
-                FaultKind::Write => st.write_stall_ns += dt,
-            }
-            w.obs.record(
-                me,
-                s.now(),
-                EventKind::FaultEnd {
-                    block: b,
-                    write,
-                    dur: dt,
-                },
-            );
-            w.obs.span_wait(me, s.now(), dt, dsm_obs::WaitKind::Fetch);
-        });
+        let dur = self.ctx.now() - t0;
+        let ended = History::FaultEnd { block, kind, dur };
+        self.ctx.world(move |w, s| w.sink.emit(me, s.now(), ended));
     }
 
     fn charge_local(&mut self, t: Time) {
@@ -120,15 +101,11 @@ impl<'a> DsmThread<'a> {
 
     /// A fault resolved locally (HLRC twin, SW-LRC re-enable): advance past
     /// the local protocol action and charge it to `proto_local_ns`.
-    fn local_fault(&mut self, b: usize, t: Time) {
+    fn local_fault(&mut self, block: usize, dur: Time) {
         self.flush();
-        self.ctx.advance(t);
-        let me = self.me;
-        self.ctx.world(move |w, s| {
-            w.stats[me].proto_local_ns += t;
-            w.obs
-                .record(me, s.now(), EventKind::LocalFault { block: b, dur: t });
-        });
+        self.ctx.advance(dur);
+        let (me, fault) = (self.me, History::LocalFault { block, dur });
+        self.ctx.world(move |w, s| w.sink.emit(me, s.now(), fault));
     }
 
     /// Split `[addr, addr+len)` at coherence-block boundaries and run `f`
@@ -172,15 +149,8 @@ impl Dsm for DsmThread<'_> {
         self.flush();
         let me = self.me;
         self.ctx.world(move |w, s| {
-            w.stats[me] = Default::default();
-            let now = s.now();
-            w.obs.note_begin(me, now);
-            if let Some(c) = w.check.as_deref_mut() {
-                c.arm(me, now);
-            }
-            if w.measure_start < now {
-                w.measure_start = now;
-            }
+            w.sink.emit(me, s.now(), History::MeasureBegin);
+            w.measure_start = w.measure_start.max(s.now());
         });
     }
 
@@ -244,13 +214,9 @@ impl Dsm for DsmThread<'_> {
         self.ctx
             .world(move |w, s| dsm_proto::sync::lock_acquire_start(w, s, me, l));
         self.ctx.block();
-        let dt = self.ctx.now() - t0;
-        self.ctx.world(move |w, s| {
-            w.stats[me].lock_wait_ns += dt;
-            w.obs
-                .record(me, s.now(), EventKind::LockWait { lock: l, dur: dt });
-            w.obs.span_wait(me, s.now(), dt, dsm_obs::WaitKind::Lock);
-        });
+        let dur = self.ctx.now() - t0;
+        let waited = History::LockWait { lock: l, dur };
+        self.ctx.world(move |w, s| w.sink.emit(me, s.now(), waited));
     }
 
     fn unlock(&mut self, l: usize) {
@@ -263,7 +229,8 @@ impl Dsm for DsmThread<'_> {
             // Release-time protocol work (diffing under HLRC) runs on the
             // application thread; charge it as local protocol time.
             self.ctx.advance(t);
-            self.ctx.world(move |w, _| w.stats[me].proto_local_ns += t);
+            self.ctx
+                .world(move |w, _| w.sink.stats[me].proto_local_ns += t);
         }
     }
 
@@ -277,22 +244,13 @@ impl Dsm for DsmThread<'_> {
             // As in `unlock`: release actions are protocol work, not part of
             // the wait for the other participants.
             self.ctx.advance(t);
-            self.ctx.world(move |w, _| w.stats[me].proto_local_ns += t);
+            self.ctx
+                .world(move |w, _| w.sink.stats[me].proto_local_ns += t);
         }
         let t0 = self.ctx.now();
         self.ctx.block();
-        let dt = self.ctx.now() - t0;
-        self.ctx.world(move |w, s| {
-            w.stats[me].barrier_wait_ns += dt;
-            w.obs.record(
-                me,
-                s.now(),
-                EventKind::BarrierWait {
-                    barrier: b,
-                    dur: dt,
-                },
-            );
-            w.obs.span_wait(me, s.now(), dt, dsm_obs::WaitKind::Barrier);
-        });
+        let dur = self.ctx.now() - t0;
+        let waited = History::BarrierWait { barrier: b, dur };
+        self.ctx.world(move |w, s| w.sink.emit(me, s.now(), waited));
     }
 }

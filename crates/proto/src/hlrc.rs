@@ -9,10 +9,10 @@
 //! been applied.
 
 use dsm_mem::{Access, BlockId};
-use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::diff::Diff;
+use crate::history::History;
 use crate::msg::{FaultKind, Notice, Packet, ProtoMsg};
 use crate::world::ProtoWorld;
 
@@ -84,7 +84,6 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
-    w.count_fault(me, b, kind);
     w.hl.pending_kind[me] = Some(kind);
     let needs = w.hl.needs[me * w.hl.n_blocks + b].clone();
     let depart = s.now() + w.cfg.cost.fault_exception_ns + w.cfg.cost.handler_ns;
@@ -188,7 +187,7 @@ fn serve_fetch(
     let bs = w.block_size_of(b) as u64;
     let c = w.cfg.cost.copy_cost(bs);
     w.occupy(s, me, c);
-    w.stats[me].fetches_served += 1;
+    w.sink.stats[me].fetches_served += 1;
     w.send(
         s,
         me,
@@ -232,7 +231,7 @@ pub fn handle_data(
         }
     }
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -248,7 +247,7 @@ pub fn handle_now_home(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b:
     w.nodes[me].mark_dirty(b);
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -264,30 +263,26 @@ pub fn handle_diff(
 ) {
     debug_assert_eq!(w.homes.home(b), Some(me), "diff sent to a non-home");
     let apply_cost = w.cfg.cost.diff_apply_cost(diff.data_bytes().max(8));
-    w.obs.record(
-        me,
-        s.now(),
-        EventKind::DiffApply {
-            block: b,
-            bytes: diff.wire_bytes(),
-        },
-    );
+    let bytes = diff.wire_bytes();
     let r = w.cfg.layout.block_range(b);
     diff.apply(&mut w.data.node_mut(me)[r]);
     for run in diff.runs {
         w.pool.put(run.bytes);
     }
     w.occupy(s, me, apply_cost);
-    w.stats[me].diffs_applied += 1;
-    record_flush(w, b, from, interval, s.now());
+    let applied = History::DiffApply {
+        block: b,
+        writer: from,
+        interval,
+        bytes,
+    };
+    w.sink.emit(me, s.now(), applied);
+    record_flush(w, b, from, interval);
     serve_satisfied(w, s, me, b, s.now() + apply_cost + w.cfg.cost.handler_ns);
 }
 
 /// Record that `writer`'s diffs through `interval` are present at the home.
-pub fn record_flush(w: &mut ProtoWorld, b: BlockId, writer: NodeId, interval: u32, now: Time) {
-    if let Some(c) = w.check.as_deref_mut() {
-        c.hl_flush(b, writer, interval, now);
-    }
+pub fn record_flush(w: &mut ProtoWorld, b: BlockId, writer: NodeId, interval: u32) {
     let f = &mut w.hl.flushed[b * w.hl.nodes + writer];
     *f = (*f).max(interval + 1);
 }
@@ -322,8 +317,8 @@ fn serve_satisfied(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Blo
 }
 
 /// Local write fault on a valid read-only copy: twin it (remote blocks) or
-/// write in place (home blocks). Returns the local cost. (Counted by the
-/// caller as a local write fault.)
+/// write in place (home blocks). Returns the local cost. (The caller
+/// emits the `History::LocalFault` that counts it.)
 pub fn local_write_fault(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> Time {
     debug_assert_eq!(w.access.get(me, b), Access::Read);
     let mut cost = w.cfg.cost.fault_exception_ns;
@@ -332,20 +327,16 @@ pub fn local_write_fault(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) 
     }
     w.access.set(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
-    w.count_local_fault(me, b);
     cost
 }
 
 fn make_twin(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> Time {
-    w.obs.record(me, now, EventKind::TwinCreate { block: b });
     let r = w.cfg.layout.block_range(b);
     let mut twin = w.pool.get();
     twin.extend_from_slice(&w.data.node(me)[r]);
     w.nodes[me].twins.set(b, twin);
-    w.stats[me].twins_created += 1;
     let held = w.nodes[me].twins.held_bytes();
-    let st = &mut w.stats[me];
-    st.twin_bytes_peak = st.twin_bytes_peak.max(held);
+    w.sink.emit(me, now, History::TwinCreate { block: b, held });
     w.cfg.cost.twin_cost(w.block_size_of(b) as u64)
 }
 
@@ -386,21 +377,16 @@ pub fn release_dirty(
                 w.pool.put(twin);
                 continue; // silent rewrite of identical bytes: nothing to publish
             }
-            if let Some(c) = w.check.as_deref_mut() {
-                c.hl_diff(me, b, &twin, &w.data.node(me)[r], &diff, interval, s.now());
-            }
+            let created = History::DiffCreate {
+                block: b,
+                twin: &twin,
+                cur: &w.data.node(me)[r],
+                diff: &diff,
+                interval,
+            };
+            w.sink.emit(me, s.now(), created);
             w.pool.put(twin);
             let wire = diff.wire_bytes();
-            w.stats[me].diffs_created += 1;
-            w.stats[me].diff_bytes += wire;
-            w.obs.record(
-                me,
-                s.now(),
-                EventKind::DiffCreate {
-                    block: b,
-                    bytes: wire,
-                },
-            );
             let home = w.route_home(b);
             debug_assert_ne!(home, me);
             w.send(
@@ -424,7 +410,9 @@ pub fn release_dirty(
             });
         } else if w.homes.home(b) == Some(me) {
             // Home block: the master copy already has the writes.
-            record_flush(w, b, me, interval, s.now());
+            w.sink
+                .emit(me, s.now(), History::HomeFlush { block: b, interval });
+            record_flush(w, b, me, interval);
             if w.access.get(me, b) == Access::ReadWrite {
                 w.access.set(me, b, Access::Read);
             }
@@ -446,7 +434,6 @@ pub fn release_dirty(
             });
         }
     }
-    w.stats[me].write_notices_sent += notices.len() as u64;
     (notices, elapsed)
 }
 
@@ -464,29 +451,16 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
         let diff = Diff::create_pooled(&twin, &w.data.node(me)[r.clone()], &mut w.pool);
         if !diff.is_empty() {
             let wire = diff.wire_bytes();
-            w.stats[me].diffs_created += 1;
-            w.stats[me].diff_bytes += wire;
-            w.obs.record(
-                me,
-                s.now(),
-                EventKind::DiffCreate {
-                    block: n.block,
-                    bytes: wire,
-                },
-            );
             let home = w.route_home(n.block);
             let my_interval = w.nodes[me].vt.get(me) + 1;
-            if let Some(c) = w.check.as_deref_mut() {
-                c.hl_diff(
-                    me,
-                    n.block,
-                    &twin,
-                    &w.data.node(me)[r],
-                    &diff,
-                    my_interval,
-                    s.now(),
-                );
-            }
+            let created = History::DiffCreate {
+                block: n.block,
+                twin: &twin,
+                cur: &w.data.node(me)[r],
+                diff: &diff,
+                interval: my_interval,
+            };
+            w.sink.emit(me, s.now(), created);
             w.send(
                 s,
                 me,
@@ -506,7 +480,8 @@ pub fn apply_notice(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, n: &N
     }
     if w.access.get(me, n.block) != Access::Invalid {
         w.access.set(me, n.block, Access::Invalid);
-        w.count_inval(me, n.block, s.now());
+        w.sink
+            .emit(me, s.now(), History::Invalidate { block: n.block });
     }
     elapsed
 }
@@ -565,7 +540,7 @@ mod tests {
     fn fetch_with_satisfied_needs_is_served_immediately() {
         let (mut w, mut s) = setup();
         w.homes.assign(0, 0);
-        record_flush(&mut w, 0, 1, 6, 0);
+        record_flush(&mut w, 0, 1, 6);
         handle_fetch(&mut w, &mut s, 0, 2, 0, FaultKind::Read, vec![(1, 5)]);
         let evs = s.take_events();
         assert_eq!(evs.len(), 1);
@@ -627,7 +602,7 @@ mod tests {
         assert_eq!(notices.len(), 1, "identical rewrite publishes nothing");
         assert_eq!(notices[0].block, 0);
         assert!(elapsed > 0, "diff scans take time");
-        assert_eq!(w.stats[2].diffs_created, 1);
+        assert_eq!(w.sink.stats[2].diffs_created, 1);
         let evs = s.take_events();
         assert!(evs.iter().any(|(_, to, m)| *to == 1
             && matches!(

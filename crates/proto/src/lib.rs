@@ -13,12 +13,13 @@
 //! * [`ops`] — node-side access-check and fault entry points;
 //! * [`sync`] — protocol-aware locks and barriers;
 //! * [`Protocol`] / [`ProtoConfig`] — run configuration;
-//! * [`check`] — the run-time checker interface (hooks + violations);
+//! * [`history`] — the execution history every counter, trace, profile
+//!   and checker reads, and the run-time checker interface;
 //! * [`mutate`] — feature-gated protocol mutations for checker self-tests.
 
-pub mod check;
 pub mod config;
 pub mod diff;
+pub mod history;
 pub mod hlrc;
 pub mod lrc;
 pub mod msg;
@@ -32,9 +33,9 @@ pub mod tardis;
 pub mod vt;
 pub mod world;
 
-pub use check::{Checker, Violation};
 pub use config::{ProtoConfig, Protocol};
 pub use diff::Diff;
+pub use history::{Checker, History, Sink, Violation};
 pub use msg::{Envelope, FaultKind, Notice, Packet, ProtoMsg};
 pub use mutate::{MutFabric, MutRt, Mutation, MutationSpec, MUTATIONS};
 pub use ops::Attempt;

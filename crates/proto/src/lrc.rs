@@ -5,6 +5,7 @@
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::config::Protocol;
+use crate::history::History;
 use crate::msg::{Notice, Packet};
 use crate::vt::VClock;
 use crate::world::ProtoWorld;
@@ -91,9 +92,12 @@ pub fn release_actions(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId) ->
     let mut notices = swlrc::release_dirty(w, me, sw_dirty, s.now());
     let (hl_notices, elapsed) = hlrc::release_dirty(w, s, me, interval, hl_dirty);
     notices.extend(hl_notices);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.lrc_release(me, interval, &w.nodes[me].vt, &notices, s.now());
-    }
+    let released = History::Release {
+        interval,
+        vt: &w.nodes[me].vt,
+        notices: &notices,
+    };
+    w.sink.emit(me, s.now(), released);
     w.log.push_interval(me, interval, notices);
     elapsed
 }
@@ -113,17 +117,10 @@ pub fn acquire_actions(
         return 0; // SC: no consistency actions at acquires
     };
     w.nodes[me].vt.merge(vt);
-    w.stats[me].write_notices_recv += notices.len() as u64;
-    if !notices.is_empty() {
-        w.obs.record(
-            me,
-            s.now(),
-            dsm_obs::EventKind::WriteNotices {
-                count: notices.len() as u64,
-                acquire: true,
-            },
-        );
-    }
+    let count = notices.len() as u64;
+    let acquire = true;
+    w.sink
+        .emit(me, s.now(), History::Notices { count, acquire });
     let mut elapsed = notices.len() as Time * NOTICE_PROC_NS;
     for n in notices {
         if n.writer == me {

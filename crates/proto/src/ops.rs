@@ -5,6 +5,7 @@ use dsm_mem::{Access, BlockId};
 use dsm_sim::{NodeId, Sched, Time};
 
 use crate::config::Protocol;
+use crate::history::History;
 use crate::msg::{FaultKind, Packet};
 use crate::world::ProtoWorld;
 use crate::{hlrc, sc, swlrc, tardis};
@@ -46,9 +47,8 @@ pub fn try_read(w: &mut ProtoWorld, me: NodeId, addr: usize, buf: &mut [u8], now
         }
     }
     buf.copy_from_slice(&w.data.node(me)[addr..addr + buf.len()]);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.on_access(me, addr, buf.len(), false, now);
-    }
+    let (len, write) = (buf.len(), false);
+    w.sink.emit(me, now, History::Access { addr, len, write });
     Attempt::Done(access_cost(w, buf.len()))
 }
 
@@ -82,9 +82,8 @@ pub fn try_write(w: &mut ProtoWorld, me: NodeId, addr: usize, data: &[u8], now: 
         }
     }
     w.data.node_mut(me)[addr..addr + data.len()].copy_from_slice(data);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.on_access(me, addr, data.len(), true, now);
-    }
+    let (len, write) = (data.len(), true);
+    w.sink.emit(me, now, History::Access { addr, len, write });
     Attempt::Done(access_cost(w, data.len()))
 }
 
@@ -97,6 +96,8 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
+    w.sink
+        .emit(me, s.now(), History::FaultBegin { block: b, kind });
     match w.protocol_of(b) {
         Protocol::Sc => sc::start_fault(w, s, me, b, kind),
         Protocol::SwLrc => swlrc::start_fault(w, s, me, b, kind),

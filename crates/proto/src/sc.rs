@@ -13,6 +13,7 @@ use std::collections::VecDeque;
 use dsm_mem::{Access, BlockId};
 use dsm_sim::{NodeId, Sched, Time};
 
+use crate::history::History;
 use crate::msg::{FaultKind, Packet, ProtoMsg};
 use crate::world::{grant_access, ProtoWorld};
 
@@ -79,7 +80,6 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
-    w.count_fault(me, b, kind);
     w.nodes[me].pending_fault = Some((b, kind));
     w.nodes[me].fault_poisoned = false;
     w.nodes[me].fault_retries = 0;
@@ -227,7 +227,7 @@ fn send_read_grant(
         let bs = w.block_size_of(b) as u64;
         let c = w.cfg.cost.copy_cost(bs);
         w.occupy(s, home, c);
-        w.stats[home].fetches_served += 1;
+        w.sink.stats[home].fetches_served += 1;
         (bs, c)
     } else {
         (0, 0)
@@ -284,7 +284,7 @@ fn begin_write(
         }
         if w.access.get(home, b) != Access::Invalid {
             w.access.set(home, b, Access::Invalid);
-            w.count_inval(home, b, at);
+            w.sink.emit(home, at, History::Invalidate { block: b });
         }
     }
     #[allow(unused_mut)]
@@ -346,7 +346,7 @@ fn complete_write(
         let bs = w.block_size_of(b) as u64;
         let c = w.cfg.cost.copy_cost(bs);
         w.occupy(s, home, c);
-        w.stats[home].fetches_served += 1;
+        w.sink.stats[home].fetches_served += 1;
         (bs, c)
     } else {
         (0, 0)
@@ -402,7 +402,7 @@ pub fn handle_inval(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Bl
     match w.access.get(me, b) {
         Access::ReadWrite => {
             w.access.set(me, b, Access::Invalid);
-            w.count_inval(me, b, at);
+            w.sink.emit(me, at, History::Invalidate { block: b });
             let bs = w.block_size_of(b) as u64;
             let c = w.cfg.cost.copy_cost(bs);
             w.occupy(s, me, c);
@@ -422,7 +422,7 @@ pub fn handle_inval(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Bl
         }
         Access::Read => {
             w.access.set(me, b, Access::Invalid);
-            w.count_inval(me, b, at);
+            w.sink.emit(me, at, History::Invalidate { block: b });
             w.send(
                 s,
                 me,
@@ -537,7 +537,7 @@ pub fn handle_grant(
             w.nodes[me].fault_retries < 10_000,
             "read fault on block {b} livelocked under invalidation pressure"
         );
-        w.count_fault(me, b, FaultKind::Read);
+        w.sink.emit(me, s.now(), History::FaultRetry { block: b });
         let target = w
             .homes
             .cached(me, b)
@@ -565,25 +565,22 @@ pub fn handle_grant(
             Access::Read
         },
     );
-    if w.check.is_some() {
+    if w.sink.check.is_some() {
         // Snapshot the other nodes' copies at install time so the checker
         // can validate MSI legality (single writer, no writer under readers).
-        let mut readers = Vec::new();
-        let mut writers = Vec::new();
-        for n in 0..w.cfg.nodes {
-            if n == me {
-                continue;
-            }
-            match w.access.get(n, b) {
-                Access::Read => readers.push(n),
-                Access::ReadWrite => writers.push(n),
-                Access::Invalid => {}
-            }
-        }
-        let now = s.now();
-        if let Some(c) = w.check.as_deref_mut() {
-            c.sc_install(me, b, exclusive, &readers, &writers, now);
-        }
+        let holding = |a| -> Vec<NodeId> {
+            (0..w.cfg.nodes)
+                .filter(|&n| n != me && w.access.get(n, b) == a)
+                .collect()
+        };
+        let (readers, writers) = (holding(Access::Read), holding(Access::ReadWrite));
+        let install = History::ScInstall {
+            block: b,
+            exclusive,
+            readers: &readers,
+            writers: &writers,
+        };
+        w.sink.emit(me, s.now(), install);
     }
     w.nodes[me].pending_fault = None;
     if exclusive {
@@ -602,7 +599,7 @@ pub fn handle_grant(
         }
     }
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -621,7 +618,7 @@ pub fn handle_now_home(
     let at = s.now() + w.cfg.cost.handler_ns;
     complete_transaction(w, s, me, b, at);
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -767,7 +764,7 @@ mod tests {
         w.data.node_mut(2)[0] = 99;
         handle_inval(&mut w, &mut s, 2, 0);
         assert_eq!(w.access.get(2, 0), Access::Invalid);
-        assert_eq!(w.stats[2].invalidations, 1);
+        assert_eq!(w.sink.stats[2].invalidations, 1);
         let evs = s.take_events();
         assert!(evs.iter().any(|(_, to, m)| *to == 0
             && matches!(

@@ -11,6 +11,7 @@
 use dsm_mem::{Access, BlockId};
 use dsm_sim::{NodeId, Sched, Time};
 
+use crate::history::History;
 use crate::msg::{FaultKind, Notice, Packet, ProtoMsg};
 use crate::world::ProtoWorld;
 
@@ -121,7 +122,6 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
-    w.count_fault(me, b, kind);
     let depart = s.now() + w.cfg.cost.fault_exception_ns + w.cfg.cost.handler_ns;
     let target =
         w.sw.hint_of(me, b)
@@ -200,7 +200,7 @@ pub fn handle_request(
                 let bs = w.block_size_of(b) as u64;
                 let c = w.cfg.cost.copy_cost(bs);
                 w.occupy(s, me, c);
-                w.stats[me].fetches_served += 1;
+                w.sink.stats[me].fetches_served += 1;
                 w.send(
                     s,
                     me,
@@ -255,7 +255,7 @@ fn serve(
     let bs = w.block_size_of(b) as u64;
     let c = w.cfg.cost.copy_cost(bs);
     w.occupy(s, me, c);
-    w.stats[me].fetches_served += 1;
+    w.sink.stats[me].fetches_served += 1;
     match kind {
         FaultKind::Read => {
             let v = w.sw.version[b];
@@ -277,13 +277,12 @@ fn serve(
         FaultKind::Write => {
             // Migrate ownership: bump the version, keep a read-only copy.
             w.sw.version[b] += 1;
-            let v = w.sw.version[b];
-            if let Some(c) = w.check.as_deref_mut() {
-                c.sw_version(b, v, at);
-            }
+            let version = w.sw.version[b];
+            let migrated = History::SwVersion { block: b, version };
+            w.sink.emit(me, at, migrated);
             w.sw.owner[b] = None;
             w.sw.in_transfer[b] = Some(from);
-            w.sw.set_hint(me, b, from, v);
+            w.sw.set_hint(me, b, from, version);
             // If we dirtied the block this interval, the migration carries
             // our writes to the new owner, but readers of older versions
             // still need a notice at our next release.
@@ -292,7 +291,7 @@ fn serve(
                 w.sw.pending_notices[me].push(Notice {
                     block: b,
                     writer: from,
-                    version: v,
+                    version,
                 });
             }
             if w.access.get(me, b) == Access::ReadWrite {
@@ -307,7 +306,7 @@ fn serve(
                 bs,
                 ProtoMsg::SwReply {
                     block: b,
-                    version: v,
+                    version,
                     ownership: true,
                     owner: me,
                 },
@@ -341,7 +340,7 @@ pub fn handle_reply(
         w.access.set(me, b, Access::Read);
     }
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -349,19 +348,19 @@ pub fn handle_reply(
 pub fn handle_now_owner(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId) {
     w.sw.owner[b] = Some(me);
     w.sw.in_transfer[b] = None;
-    w.sw.version[b] = 1;
-    if let Some(c) = w.check.as_deref_mut() {
-        c.sw_version(b, 1, s.now());
-    }
-    w.sw.set_copy_version(me, b, 1);
-    w.sw.set_hint(me, b, me, 1);
+    let version = 1;
+    w.sw.version[b] = version;
+    w.sink
+        .emit(me, s.now(), History::SwVersion { block: b, version });
+    w.sw.set_copy_version(me, b, version);
+    w.sw.set_hint(me, b, me, version);
     w.homes.learn(me, b, me);
     w.access.set(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
     let at = s.now() + w.cfg.cost.handler_ns;
     drain_waiting(w, s, me, b, at);
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -396,13 +395,12 @@ fn drain_waiting(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Block
 
 /// Local write fault at the settled owner after a release downgraded its
 /// copy: re-enable write access without communication. Returns the local
-/// cost. (Counted by the caller as a local write fault.)
+/// cost. (The caller emits the `History::LocalFault` that counts it.)
 pub fn local_reenable(w: &mut ProtoWorld, me: NodeId, b: BlockId) -> Time {
     debug_assert!(w.sw.is_owner(me, b));
     debug_assert_eq!(w.access.get(me, b), Access::Read);
     w.access.set(me, b, Access::ReadWrite);
     w.nodes[me].mark_dirty(b);
-    w.count_local_fault(me, b);
     w.cfg.cost.fault_exception_ns
 }
 
@@ -417,12 +415,15 @@ pub fn release_dirty(
     now: Time,
 ) -> Vec<Notice> {
     let mut notices = std::mem::take(&mut w.sw.pending_notices[me]);
-    if let Some(c) = w.check.as_deref_mut() {
-        // Notices deferred across a mid-interval migration: already
-        // versioned at migration time, re-announced here.
-        for n in &notices {
-            c.sw_notice(me, n.block, n.version, false, now);
-        }
+    // Notices deferred across a mid-interval migration: already versioned
+    // at migration time, re-announced here.
+    for n in &notices {
+        let republished = History::SwNotice {
+            block: n.block,
+            version: n.version,
+            fresh: false,
+        };
+        w.sink.emit(me, now, republished);
     }
     notices.reserve(dirty.len());
     for b in dirty {
@@ -447,16 +448,18 @@ pub fn release_dirty(
         if w.access.get(me, b) == Access::ReadWrite {
             w.access.set(me, b, Access::Read);
         }
-        if let Some(c) = w.check.as_deref_mut() {
-            c.sw_notice(me, b, v, true, now);
-        }
+        let minted = History::SwNotice {
+            block: b,
+            version: v,
+            fresh: true,
+        };
+        w.sink.emit(me, now, minted);
         notices.push(Notice {
             block: b,
             writer: me,
             version: v,
         });
     }
-    w.stats[me].write_notices_sent += notices.len() as u64;
     notices
 }
 
@@ -474,7 +477,7 @@ pub fn apply_notice(w: &mut ProtoWorld, me: NodeId, n: &Notice, now: Time) -> Ti
     }
     if w.sw.copy_version(me, n.block) < n.version && w.access.get(me, n.block) != Access::Invalid {
         w.access.set(me, n.block, Access::Invalid);
-        w.count_inval(me, n.block, now);
+        w.sink.emit(me, now, History::Invalidate { block: n.block });
     }
     0
 }
@@ -581,7 +584,7 @@ mod tests {
             0,
         );
         assert_eq!(w.access.get(2, 0), Access::Read);
-        assert_eq!(w.stats[2].invalidations, 0);
+        assert_eq!(w.sink.stats[2].invalidations, 0);
         // Newer notice: invalidates and updates the owner hint.
         apply_notice(
             &mut w,
@@ -594,7 +597,7 @@ mod tests {
             0,
         );
         assert_eq!(w.access.get(2, 0), Access::Invalid);
-        assert_eq!(w.stats[2].invalidations, 1);
+        assert_eq!(w.sink.stats[2].invalidations, 1);
         assert_eq!(w.sw.hint_of(2, 0), Some(3));
     }
 

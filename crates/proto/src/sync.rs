@@ -13,9 +13,9 @@
 use std::collections::VecDeque;
 
 use dsm_net::{VT_ENTRY_BYTES, WRITE_NOTICE_BYTES};
-use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
+use crate::history::History;
 use crate::lrc;
 use crate::msg::{Notice, Packet, ProtoMsg};
 use crate::vt::VClock;
@@ -60,10 +60,9 @@ pub fn barrier_manager(w: &ProtoWorld, b: usize) -> NodeId {
 /// Node-side acquire entry point; the caller blocks until the grant wakes
 /// it.
 pub fn lock_acquire_start(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, l: usize) {
-    w.stats[me].lock_acquires += 1;
     let mgr = lock_manager(w, l);
     if mgr != me {
-        w.stats[me].remote_lock_acquires += 1;
+        w.sink.stats[me].remote_lock_acquires += 1;
     }
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
     let ctrl = vt.as_ref().map_or(0, |v| v.wire_bytes());
@@ -87,9 +86,9 @@ pub fn lock_acquire_start(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId,
 /// actions: diffing, versioning); the release message is already in flight.
 pub fn lock_release_start(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, l: usize) -> Time {
     let elapsed = lrc::release_actions(w, s, me);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.lock_release(me, l, &w.nodes[me].vt, s.now());
-    }
+    let vt = &w.nodes[me].vt;
+    w.sink
+        .emit(me, s.now(), History::LockRelease { lock: l, vt });
     let mgr = lock_manager(w, l);
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
     let pts = w.has_tardis.then(|| w.td.pts[me]);
@@ -120,11 +119,9 @@ pub fn barrier_arrive_start(
     me: NodeId,
     bar: usize,
 ) -> Time {
-    w.stats[me].barriers += 1;
     let elapsed = lrc::release_actions(w, s, me);
-    if let Some(c) = w.check.as_deref_mut() {
-        c.bar_arrive(me, bar, s.now());
-    }
+    w.sink
+        .emit(me, s.now(), History::BarrierArrive { barrier: bar });
     let mgr = barrier_manager(w, bar);
     let vt = w.has_lrc.then(|| w.nodes[me].vt.clone());
     let pts = w.has_tardis.then(|| w.td.pts[me]);
@@ -235,17 +232,10 @@ fn send_grant(
             notices.pop();
         }
     }
-    w.stats[me].write_notices_sent += notices.len() as u64;
-    if !notices.is_empty() {
-        w.obs.record(
-            me,
-            s.now(),
-            EventKind::WriteNotices {
-                count: notices.len() as u64,
-                acquire: false,
-            },
-        );
-    }
+    let count = notices.len() as u64;
+    let acquire = false;
+    w.sink
+        .emit(me, s.now(), History::Notices { count, acquire });
     let pts = w.has_tardis.then(|| w.locks[l].last_pts);
     let ctrl = vt.as_ref().map_or(0, |v| v.wire_bytes())
         + notices.len() as u64 * WRITE_NOTICE_BYTES
@@ -273,9 +263,7 @@ fn send_grant(
 fn merge_pts(w: &mut ProtoWorld, me: NodeId, pts: Option<u64>, now: Time) {
     let Some(p) = pts else { return };
     debug_assert!(w.has_tardis, "pts piggyback on a non-Tardis run");
-    if let Some(c) = w.check.as_deref_mut() {
-        c.td_merge(me, p, now);
-    }
+    w.sink.emit(me, now, History::PtsMerge { pts: p });
     w.td.pts[me] = w.td.pts[me].max(p);
 }
 
@@ -289,15 +277,19 @@ pub fn handle_lock_grant(
     notices: Vec<Notice>,
     pts: Option<u64>,
 ) {
-    if let Some(c) = w.check.as_deref_mut() {
-        // `w.nodes[me].vt` is still the request-time clock: the acquirer
-        // has been blocked since it sent the request.
-        c.lock_acquire(me, l, vt.as_ref(), &notices, &w.nodes[me].vt, s.now());
-    }
+    // `w.nodes[me].vt` is still the request-time clock: the acquirer has
+    // been blocked since it sent the request.
+    let granted = History::LockAcquire {
+        lock: l,
+        vt: vt.as_ref(),
+        notices: &notices,
+        cur: &w.nodes[me].vt,
+    };
+    w.sink.emit(me, s.now(), granted);
     merge_pts(w, me, pts, s.now());
     let elapsed = lrc::acquire_actions(w, s, me, vt.as_ref(), &notices);
     let at = s.now() + w.cfg.cost.handler_ns + elapsed;
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -351,17 +343,10 @@ pub fn handle_bar_arrive(
             }
             _ => Vec::new(),
         };
-        w.stats[me].write_notices_sent += notices.len() as u64;
-        if !notices.is_empty() {
-            w.obs.record(
-                me,
-                s.now(),
-                EventKind::WriteNotices {
-                    count: notices.len() as u64,
-                    acquire: false,
-                },
-            );
-        }
+        let count = notices.len() as u64;
+        let acquire = false;
+        w.sink
+            .emit(me, s.now(), History::Notices { count, acquire });
         let ctrl = merged.as_ref().map_or(0, |_| n as u64 * VT_ENTRY_BYTES)
             + notices.len() as u64 * WRITE_NOTICE_BYTES
             + merged_pts.map_or(0, |_| PTS_BYTES);
@@ -405,21 +390,18 @@ pub fn handle_bar_release(
             skip_join = m.fire_sticky(crate::mutate::Mutation::HbSkipBarrier);
         }
     }
-    if let Some(c) = w.check.as_deref_mut() {
-        c.bar_pass(
-            me,
-            bar,
-            vt.as_ref(),
-            &notices,
-            &w.nodes[me].vt,
-            skip_join,
-            s.now(),
-        );
-    }
+    let passed = History::BarrierPass {
+        barrier: bar,
+        vt: vt.as_ref(),
+        notices: &notices,
+        cur: &w.nodes[me].vt,
+        skip_join,
+    };
+    w.sink.emit(me, s.now(), passed);
     merge_pts(w, me, pts, s.now());
     let elapsed = lrc::acquire_actions(w, s, me, vt.as_ref(), &notices);
     let at = s.now() + w.cfg.cost.handler_ns + elapsed;
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -511,7 +493,7 @@ mod tests {
             .expect("grant sent");
         assert_eq!(grant.len(), 1);
         assert_eq!(grant[0].block, 5);
-        assert_eq!(w.stats[1].write_notices_sent, 1);
+        assert_eq!(w.sink.stats[1].write_notices_sent, 1);
     }
 
     #[test]

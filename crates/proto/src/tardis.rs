@@ -29,9 +29,9 @@
 use std::collections::VecDeque;
 
 use dsm_mem::{Access, BlockId};
-use dsm_obs::EventKind;
 use dsm_sim::{NodeId, Sched, Time};
 
+use crate::history::History;
 use crate::msg::{FaultKind, Packet, ProtoMsg};
 use crate::vt::{lease_grant, wts_grant};
 use crate::world::ProtoWorld;
@@ -130,8 +130,7 @@ pub fn lease_valid(w: &mut ProtoWorld, me: NodeId, b: BlockId, now: Time) -> boo
             return true;
         }
     }
-    w.stats[me].lease_expiries += 1;
-    w.obs.record(me, now, EventKind::LeaseExpire { block: b });
+    w.sink.emit(me, now, History::LeaseExpire { block: b });
     false
 }
 
@@ -144,7 +143,6 @@ pub fn start_fault(
     b: BlockId,
     kind: FaultKind,
 ) {
-    w.count_fault(me, b, kind);
     w.td.pending_kind[me] = Some(kind);
     let pts = w.td.pts[me];
     let have_wts = w.td.copy_wts[w.td.ni(me, b)];
@@ -202,14 +200,17 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                 let lease = lease_grant(w.td.rts[b], wts, wtr.pts);
                 w.td.rts[b] = lease;
                 let renewal = wtr.have_wts == wts && wtr.have_wts != 0;
-                if let Some(c) = w.check.as_deref_mut() {
-                    c.td_read(wtr.from, b, wts, lease, renewal, now);
-                }
+                let grant = History::LeaseGrant {
+                    reader: wtr.from,
+                    block: b,
+                    wts,
+                    lease,
+                    renewal,
+                };
+                w.sink.emit(me, now, grant);
                 if renewal {
                     // The requester's copy is current: extend the lease
                     // header-only, no payload moves.
-                    w.stats[me].lease_renewals += 1;
-                    w.obs.record(me, now, EventKind::LeaseRenew { block: b });
                     w.send(
                         s,
                         me,
@@ -223,7 +224,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                     let bs = w.block_size_of(b) as u64;
                     let c = w.cfg.cost.copy_cost(bs);
                     w.occupy(s, me, c);
-                    w.stats[me].fetches_served += 1;
+                    w.sink.stats[me].fetches_served += 1;
                     w.send(
                         s,
                         me,
@@ -258,12 +259,14 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                         wts = old + 1;
                     }
                 }
-                if rts > old {
-                    w.stats[me].wts_bumps += 1;
-                }
-                if let Some(c) = w.check.as_deref_mut() {
-                    c.td_write(wtr.from, b, wts, rts, now);
-                }
+                let grant = History::WtsGrant {
+                    writer: wtr.from,
+                    block: b,
+                    old_wts: old,
+                    wts,
+                    rts,
+                };
+                w.sink.emit(me, now, grant);
                 w.td.wts[b] = wts;
                 w.td.owner[b] = Some(wtr.from);
                 // A requester whose copy carries the current wts only needs
@@ -273,7 +276,7 @@ fn pump(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId, mut a
                     let bs = w.block_size_of(b) as u64;
                     let c = w.cfg.cost.copy_cost(bs);
                     w.occupy(s, me, c);
-                    w.stats[me].fetches_served += 1;
+                    w.sink.stats[me].fetches_served += 1;
                     (bs, c)
                 } else {
                     (0, 0)
@@ -328,7 +331,7 @@ pub fn handle_data(
     w.access.set(me, b, Access::Read);
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -347,7 +350,7 @@ pub fn handle_lease(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: Bl
     debug_assert_eq!(w.access.get(me, b), Access::Read);
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -388,7 +391,7 @@ pub fn handle_wgrant(
     );
     let at = s.now() + w.cfg.cost.handler_ns;
     w.block_obtained(s, me);
-    w.obs.span_wake(me, at);
+    w.sink.obs.span_wake(me, at);
     s.wake(me, at);
 }
 
@@ -398,7 +401,7 @@ pub fn handle_wgrant(
 pub fn handle_recall(w: &mut ProtoWorld, s: &mut Sched<Packet>, me: NodeId, b: BlockId) {
     debug_assert_eq!(w.access.get(me, b), Access::ReadWrite);
     w.access.set(me, b, Access::Invalid);
-    w.count_inval(me, b, s.now());
+    w.sink.emit(me, s.now(), History::Invalidate { block: b });
     let ni = w.td.ni(me, b);
     w.td.copy_wts[ni] = 0;
     w.td.lease[ni] = 0;
@@ -530,8 +533,8 @@ mod tests {
             .expect("data grant sent");
         assert_eq!(lease, 1 + LEASE_TS);
         assert_eq!(w.td.rts[0], lease, "rts advanced to the lease end");
-        assert_eq!(w.stats[0].fetches_served, 1);
-        assert_eq!(w.stats[0].lease_renewals, 0);
+        assert_eq!(w.sink.stats[0].fetches_served, 1);
+        assert_eq!(w.sink.stats[0].lease_renewals, 0);
     }
 
     #[test]
@@ -544,8 +547,8 @@ mod tests {
         let evs = s.take_events();
         assert!(sent(&evs, 2).any(|m| matches!(m, ProtoMsg::TdLease { .. })));
         assert!(!sent(&evs, 2).any(|m| matches!(m, ProtoMsg::TdData { .. })));
-        assert_eq!(w.stats[0].lease_renewals, 1);
-        assert_eq!(w.stats[0].fetches_served, 1, "no second payload");
+        assert_eq!(w.sink.stats[0].lease_renewals, 1);
+        assert_eq!(w.sink.stats[0].fetches_served, 1, "no second payload");
         // The renewed lease covers the new pts.
         assert_eq!(w.td.rts[0], 9 + LEASE_TS);
     }
@@ -570,7 +573,7 @@ mod tests {
         assert!(wts > rts, "write ordered after every promised read");
         assert_eq!(w.td.owner[0], Some(3));
         assert!(w.td.busy[0], "remote grant keeps the block busy");
-        assert_eq!(w.stats[0].wts_bumps, 1);
+        assert_eq!(w.sink.stats[0].wts_bumps, 1);
     }
 
     #[test]
@@ -608,7 +611,7 @@ mod tests {
         let evs = s.take_events();
         assert!(sent(&evs, 2).any(|m| matches!(m, ProtoMsg::TdData { .. })));
         assert!(!sent(&evs, 2).any(|m| matches!(m, ProtoMsg::TdLease { .. })));
-        assert_eq!(w.stats[0].lease_renewals, 0);
+        assert_eq!(w.sink.stats[0].lease_renewals, 0);
     }
 
     #[test]
@@ -653,12 +656,12 @@ mod tests {
             ops::try_read(&mut w, 2, 0, &mut buf, 0),
             Attempt::Done(_)
         ));
-        assert_eq!(w.stats[2].lease_expiries, 0);
+        assert_eq!(w.sink.stats[2].lease_expiries, 0);
         // One tick past: expired — fault, but the copy survives for a
         // renewal (access stays Read, data intact).
         w.td.pts[2] = 10;
         assert_eq!(ops::try_read(&mut w, 2, 0, &mut buf, 0), Attempt::Fault(0));
-        assert_eq!(w.stats[2].lease_expiries, 1);
+        assert_eq!(w.sink.stats[2].lease_expiries, 1);
         assert_eq!(w.access.get(2, 0), Access::Read, "expired, not invalid");
     }
 

@@ -5,12 +5,10 @@ use std::collections::HashMap;
 use dsm_fabric::{Fabric, RxOutcome, TxAction, TxOutcome};
 use dsm_mem::{Access, AccessTable, BlockId, DataStore, HomeDirectory};
 use dsm_net::{Notify, MSG_HEADER_BYTES};
-use dsm_obs::{EventKind, Recorder, SharingProfile};
 use dsm_sim::{NodeId, Sched, Time, World};
-use dsm_stats::{Counters, RegionCounters};
 
-use crate::check::Checker;
 use crate::config::{ProtoConfig, Protocol};
+use crate::history::{History, Sink};
 use crate::hlrc::HlState;
 use crate::lrc::NoticeLog;
 use crate::msg::{Envelope, FaultKind, Packet, ProtoMsg};
@@ -81,8 +79,10 @@ pub struct ProtoWorld {
     pub access: AccessTable,
     /// First-touch home directory.
     pub homes: HomeDirectory,
-    /// Per-node statistics.
-    pub stats: Vec<Counters>,
+    /// Every consumer of the execution history: counters, event recorder,
+    /// sharing profile and checker. Kept apart from protocol state so an
+    /// emitted record can borrow from the rest of the world.
+    pub sink: Sink,
     /// Per-node protocol runtime.
     pub nodes: Vec<NodeRt>,
     /// SC directory state.
@@ -102,8 +102,6 @@ pub struct ProtoWorld {
     pub log: NoticeLog,
     /// Virtual time at which measurement began (see the warm-up phase).
     pub measure_start: Time,
-    /// Structured event recorder (one branch per event when disabled).
-    pub obs: Recorder,
     /// Protocol per layout region (resolved from the config at build time).
     pub region_proto: Vec<Protocol>,
     /// Whether any region runs an LRC protocol (drives the sync substrate's
@@ -112,20 +110,10 @@ pub struct ProtoWorld {
     /// Whether any region runs Tardis (drives the program-timestamp
     /// piggyback on sync messages and the lazy lease-expiry check).
     pub has_tardis: bool,
-    /// Per-region counters (faults, invalidations, traffic), summed over
-    /// nodes.
-    pub region_stats: Vec<RegionCounters>,
-    /// Exact fine-grain sharing profile (profiling runs only).
-    pub profile: Option<SharingProfile>,
     /// Recycled byte buffers for twins and diff payloads.
     pub pool: BufPool,
     /// The network fabric (NI queues, fault injector, retransmission).
     pub fabric: Fabric<Envelope>,
-    /// Installed run-time checker, if any. All hook sites are a single
-    /// `is_some` test when absent, and the checker never charges virtual
-    /// time, so runs with no checker are bit-identical to builds without
-    /// one.
-    pub check: Option<Box<dyn Checker>>,
     /// Armed protocol mutation (checker self-tests). The mutation *sites*
     /// only exist under the `mutate` feature.
     pub mutate: Option<MutRt>,
@@ -159,7 +147,7 @@ impl ProtoWorld {
             data: DataStore::new(n, cfg.layout.clone()),
             access: AccessTable::new(n, nb),
             homes,
-            stats: vec![Counters::default(); n],
+            sink: Sink::new(n, cfg.layout.clone(), &cfg.obs, cfg.profile),
             nodes: (0..n).map(|_| NodeRt::new(n)).collect(),
             sc: ScState::new(nb),
             sw: SwState::new(n, nb),
@@ -169,15 +157,11 @@ impl ProtoWorld {
             barriers: HashMap::new(),
             log: NoticeLog::new(n),
             measure_start: 0,
-            obs: Recorder::new(n, &cfg.obs),
-            region_stats: vec![RegionCounters::default(); region_proto.len()],
-            profile: cfg.profile.then(|| SharingProfile::new(cfg.layout.size())),
             region_proto,
             has_lrc,
             has_tardis,
             pool: BufPool::default(),
             fabric: Fabric::new(cfg.fabric.clone(), n),
-            check: None,
             mutate: cfg.mutation.map(|(m, seed)| MutRt::new(m, seed)),
             quiesce: 0,
             cfg,
@@ -199,56 +183,10 @@ impl ProtoWorld {
         self.cfg.layout.block_size_of(b)
     }
 
-    /// Index of the region containing block `b`.
-    #[inline]
-    pub fn region_of(&self, b: BlockId) -> usize {
-        self.cfg.layout.region_of_block(b)
-    }
-
     /// The protocol governing block `b` (mixed-mode dispatch point).
     #[inline]
     pub fn protocol_of(&self, b: BlockId) -> Protocol {
-        self.region_proto[self.region_of(b)]
-    }
-
-    /// Count a remote fault on `b` into node stats, region stats, and the
-    /// sharing profile.
-    pub fn count_fault(&mut self, me: NodeId, b: BlockId, kind: FaultKind) {
-        let r = self.region_of(b);
-        match kind {
-            FaultKind::Read => {
-                self.stats[me].read_faults += 1;
-                self.region_stats[r].read_faults += 1;
-            }
-            FaultKind::Write => {
-                self.stats[me].write_faults += 1;
-                self.region_stats[r].write_faults += 1;
-            }
-        }
-        self.profile_fault(me, b, kind == FaultKind::Write);
-    }
-
-    /// Count a locally-resolved write fault on `b` (twinning / re-enable).
-    pub fn count_local_fault(&mut self, me: NodeId, b: BlockId) {
-        self.stats[me].local_write_faults += 1;
-        let r = self.region_of(b);
-        self.region_stats[r].local_faults += 1;
-        self.profile_fault(me, b, true);
-    }
-
-    /// Count an invalidation of `me`'s copy of `b` and record the event.
-    pub fn count_inval(&mut self, me: NodeId, b: BlockId, at: Time) {
-        self.stats[me].invalidations += 1;
-        let r = self.region_of(b);
-        self.region_stats[r].invalidations += 1;
-        self.obs.record(me, at, EventKind::Invalidate { block: b });
-    }
-
-    fn profile_fault(&mut self, me: NodeId, b: BlockId, write: bool) {
-        if let Some(p) = self.profile.as_mut() {
-            let r = self.cfg.layout.block_range(b);
-            p.note(me, r.start, r.end, write);
-        }
+        self.region_proto[self.cfg.layout.region_of_block(b)]
     }
 
     /// Stable fingerprint of everything that determines future protocol
@@ -256,10 +194,10 @@ impl ProtoWorld {
     /// equal fingerprints (at the same engine state) explore identical
     /// subtrees, so one can be pruned.
     ///
-    /// Deliberately excluded: statistics, the observability recorder, the
-    /// sharing profile, the buffer pool, and `measure_start` — none of
-    /// them feed back into protocol decisions. The checker digest IS
-    /// included so a pruned prefix cannot hide a later violation.
+    /// Deliberately excluded: the sink's statistics, observability
+    /// recorder and sharing profile, the buffer pool, and `measure_start`
+    /// — none of them feed back into protocol decisions. The checker
+    /// digest IS included so a pruned prefix cannot hide a later violation.
     pub fn mc_fingerprint(&self) -> u64 {
         use dsm_sim::rng::{fold64, StableHasher};
         let mut h = StableHasher::fingerprint(&(
@@ -286,8 +224,8 @@ impl ProtoWorld {
         if let Some(m) = &self.mutate {
             h = fold64(h, StableHasher::fingerprint(m));
         }
-        if let Some(c) = &self.check {
-            h = fold64(h, c.mc_fingerprint());
+        if let Some(c) = self.sink.check_fingerprint() {
+            h = fold64(h, c);
         }
         h
     }
@@ -321,7 +259,8 @@ impl ProtoWorld {
         msg: ProtoMsg,
     ) {
         if from == to {
-            let span = self.obs.span_send(from, to, depart, 0, msg.span_class());
+            let class = msg.span_class();
+            let span = self.sink.obs.span_send(from, to, depart, 0, class);
             s.post(
                 to,
                 depart,
@@ -329,30 +268,17 @@ impl ProtoWorld {
             );
             return;
         }
-        let st = &mut self.stats[from];
-        st.msgs_sent += 1;
-        st.ctrl_bytes += ctrl + MSG_HEADER_BYTES;
-        st.data_bytes += data;
-        if let Some(b) = msg.concerns_block() {
-            let rs = &mut self.region_stats[self.cfg.layout.region_of_block(b)];
-            rs.msgs += 1;
-            rs.ctrl_bytes += ctrl + MSG_HEADER_BYTES;
-            rs.data_bytes += data;
-        }
-        self.obs.record(
-            from,
-            depart,
-            EventKind::MsgSend {
-                to,
-                tag: msg.tag(),
-                block: msg.concerns_block(),
-                ctrl: ctrl + MSG_HEADER_BYTES,
-                data,
-            },
-        );
+        let sent = History::MsgSend {
+            to,
+            msg: &msg,
+            ctrl,
+            data,
+        };
+        self.sink.emit(from, depart, sent);
         let bytes = MSG_HEADER_BYTES + ctrl + data;
         let wire = self.cfg.latency.one_way(bytes);
-        let span = self.obs.span_send(from, to, depart, wire, msg.span_class());
+        let class = msg.span_class();
+        let span = self.sink.obs.span_send(from, to, depart, wire, class);
         if self.cfg.fabric.is_ideal() {
             // The analytic fast path: one event per message, posted exactly
             // as before the fabric existed (bit-for-bit invariant).
@@ -376,17 +302,13 @@ impl ProtoWorld {
 
     /// Account a transmission's outcome and post its frames and timers.
     fn apply_tx(&mut self, s: &mut Sched<Packet>, from: NodeId, out: TxOutcome<Envelope>) {
-        let st = &mut self.stats[from];
+        let st = &mut self.sink.stats[from];
         st.fabric_frames += 1;
-        st.fabric_queue_ns += out.queue_ns;
         st.fabric_drops += out.dropped as u64;
         st.fabric_dups += out.duplicated as u64;
         st.fabric_exhausted += out.exhausted as u64;
-        if out.queue_ns > 0 && self.obs.is_active() {
-            let now = s.now();
-            self.obs
-                .record(from, now, EventKind::NetQueue { dur: out.queue_ns });
-        }
+        let queued = History::NetQueue { dur: out.queue_ns };
+        self.sink.emit(from, s.now(), queued);
         for a in out.actions {
             match a {
                 TxAction::Frame {
@@ -398,7 +320,7 @@ impl ProtoWorld {
                     payload,
                 } => {
                     if attempt > 0 {
-                        self.obs.span_retx(payload.span, at);
+                        self.sink.obs.span_retx(payload.span, at);
                     }
                     s.post(
                         to,
@@ -440,15 +362,9 @@ impl ProtoWorld {
             queue_ns,
             duplicate,
         } = self.fabric.on_frame(now, src, to, seq, bytes, env);
-        let st = &mut self.stats[to];
-        st.fabric_queue_ns += queue_ns;
-        st.fabric_dup_drops += duplicate as u64;
-        if queue_ns > 0 && self.obs.is_active() {
-            self.obs
-                .record(to, now, EventKind::NetQueue { dur: queue_ns });
-        }
+        self.sink.emit(to, now, History::NetQueue { dur: queue_ns });
         if let Some(at) = ack_at {
-            self.stats[to].fabric_acks += 1;
+            self.sink.stats[to].fabric_acks += 1;
             let ack_wire = self.cfg.latency.one_way(self.cfg.fabric.retry.ack_bytes);
             s.post(src, at + ack_wire, Packet::Ack { from: to, seq });
         }
@@ -466,9 +382,13 @@ impl ProtoWorld {
                 posted += 1;
             }
         }
-        if let Some(c) = self.check.as_deref_mut() {
-            c.fabric_frame(src, to, seq, duplicate, posted, now);
-        }
+        let frame = History::FabricFrame {
+            src,
+            seq,
+            duplicate,
+            posted,
+        };
+        self.sink.emit(to, now, frame);
         for (at, env) in deliver {
             s.post(to, at, Packet::App(env));
         }
@@ -478,7 +398,7 @@ impl ProtoWorld {
     /// currently computing (no-op for blocked/done nodes, whose spin loop
     /// absorbs the work).
     pub fn occupy(&mut self, s: &mut Sched<Packet>, node: NodeId, cost: Time) {
-        self.stats[node].service_ns += cost;
+        self.sink.stats[node].service_ns += cost;
         if let Some(r) = s.resume_at(node) {
             let now = s.now();
             // The node is mid-compute-segment: the delay extends that
@@ -486,7 +406,7 @@ impl ProtoWorld {
             // Ready node with an earlier resume time would already have been
             // resumed before this delivery). Blocked/done nodes absorb the
             // service inside their measured stall windows instead.
-            self.stats[node].occupancy_stolen_ns += cost;
+            self.sink.stats[node].occupancy_stolen_ns += cost;
             s.delay(node, r.max(now) + cost);
         }
     }
@@ -526,16 +446,12 @@ impl World for ProtoWorld {
             Packet::Timer { peer, seq, attempt } => {
                 let now = s.now();
                 if let Some(out) = self.fabric.on_timer(now, to, peer, seq, attempt) {
-                    self.stats[to].fabric_retries += 1;
-                    self.obs.record(
-                        to,
-                        now,
-                        EventKind::Retransmit {
-                            to: peer,
-                            seq,
-                            attempt: attempt + 1,
-                        },
-                    );
+                    let retx = History::Retransmit {
+                        to: peer,
+                        seq,
+                        attempt: attempt + 1,
+                    };
+                    self.sink.emit(to, now, retx);
                     self.apply_tx(s, to, out);
                 }
                 return;
@@ -556,9 +472,8 @@ impl World for ProtoWorld {
             );
             if svc > s.now() {
                 if self.cfg.notify == Notify::Interrupt {
-                    self.stats[to].interrupts_taken += 1;
                     let now = s.now();
-                    self.obs.record(to, now, EventKind::Interrupt);
+                    self.sink.emit(to, now, History::Interrupt);
                 }
                 s.post(
                     to,
@@ -595,23 +510,13 @@ impl World for ProtoWorld {
             );
             return;
         }
-        if self.obs.is_active() {
-            let now = s.now();
-            self.obs.record(
-                to,
-                now,
-                EventKind::MsgRecv {
-                    tag: env.msg.tag(),
-                    block: env.msg.concerns_block(),
-                },
-            );
-        }
         // Final dispatch: record the span arrival (deferrals already
         // applied) and make this message the causal parent of everything
         // its handler sends or wakes.
-        if self.obs.spans_on() {
-            let now = s.now();
-            self.obs.span_recv(to, now, env.span);
+        let now = s.now();
+        self.sink.emit(to, now, History::MsgRecv { msg: &env.msg });
+        if self.sink.obs.spans_on() {
+            self.sink.obs.span_recv(to, now, env.span);
         }
         let handler = self.cfg.cost.handler_ns;
         match env.msg {
@@ -792,14 +697,13 @@ impl World for ProtoWorld {
                 sync::handle_bar_release(self, s, to, barrier, vt, notices, pts);
             }
         }
-        self.obs.span_dispatch_done();
+        self.sink.obs.span_dispatch_done();
     }
 
     fn on_advance(&mut self, node: NodeId, from: Time, to_t: Time) {
         self.quiesce = self.quiesce.max(to_t);
-        self.obs
-            .record(node, to_t, EventKind::Advance { dur: to_t - from });
-        self.obs.span_seg(node, to_t, to_t - from);
+        self.sink
+            .emit(node, to_t, History::Advance { dur: to_t - from });
     }
 }
 

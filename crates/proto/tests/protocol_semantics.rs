@@ -54,6 +54,7 @@ fn sc_reads_are_always_fresh() {
         ],
     );
     let t = w
+        .sink
         .stats
         .iter()
         .fold(dsm_stats::Counters::default(), |mut a, c| {
@@ -139,7 +140,7 @@ fn sw_lrc_skips_invalidation_when_version_is_current() {
     );
     // The reader's copy was already current: no invalidation at its acquire.
     assert_eq!(
-        w.stats[1].invalidations, 0,
+        w.sink.stats[1].invalidations, 0,
         "current copy must not be invalidated"
     );
 }
@@ -177,11 +178,11 @@ fn hlrc_merges_concurrent_writers_through_diffs() {
             }),
         ],
     );
-    let diffs: u64 = w.stats.iter().map(|c| c.diffs_created).sum();
-    let applied: u64 = w.stats.iter().map(|c| c.diffs_applied).sum();
+    let diffs: u64 = w.sink.stats.iter().map(|c| c.diffs_created).sum();
+    let applied: u64 = w.sink.stats.iter().map(|c| c.diffs_applied).sum();
     assert!(diffs >= 2, "both writers must diff (got {diffs})");
     assert_eq!(diffs, applied, "every diff must be applied at the home");
-    let twins: u64 = w.stats.iter().map(|c| c.twins_created).sum();
+    let twins: u64 = w.sink.stats.iter().map(|c| c.twins_created).sum();
     assert!(twins >= 2);
 }
 
@@ -292,12 +293,12 @@ fn sc_write_sharing_ping_pongs_ownership() {
             }),
         ],
     );
-    let wf: u64 = w.stats.iter().map(|c| c.write_faults).sum();
+    let wf: u64 = w.sink.stats.iter().map(|c| c.write_faults).sum();
     assert!(
         wf >= 2 * rounds - 2,
         "alternating writers must ping-pong: {wf} write faults for {rounds} rounds"
     );
-    let inv: u64 = w.stats.iter().map(|c| c.invalidations).sum();
+    let inv: u64 = w.sink.stats.iter().map(|c| c.invalidations).sum();
     assert!(inv >= rounds, "each steal must invalidate the peer");
 }
 
@@ -336,7 +337,7 @@ fn hlrc_avoids_the_ping_pong_entirely() {
                 }),
             ],
         );
-        w.stats.iter().map(|c| c.write_faults).sum::<u64>()
+        w.sink.stats.iter().map(|c| c.write_faults).sum::<u64>()
     };
     let sc = run(Protocol::Sc);
     let hlrc = run(Protocol::Hlrc);
@@ -375,7 +376,8 @@ fn interrupt_grace_window_defers_invalidations() {
             }) as Body
         };
         let (w, _) = run_cluster(world, vec![mk(0), mk(1)]);
-        w.stats
+        w.sink
+            .stats
             .iter()
             .map(|c| c.read_faults + c.write_faults)
             .sum::<u64>()

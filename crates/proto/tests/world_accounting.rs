@@ -104,8 +104,8 @@ fn header_bytes_are_charged_per_message() {
         }),
     ];
     let (w, _) = run_cluster(w, bodies);
-    let msgs: u64 = w.stats.iter().map(|c| c.msgs_sent).sum();
-    let ctrl: u64 = w.stats.iter().map(|c| c.ctrl_bytes).sum();
+    let msgs: u64 = w.sink.stats.iter().map(|c| c.msgs_sent).sum();
+    let ctrl: u64 = w.sink.stats.iter().map(|c| c.ctrl_bytes).sum();
     assert!(msgs > 0);
     assert!(ctrl >= msgs * MSG_HEADER_BYTES, "{ctrl} < {msgs} headers");
 }

@@ -58,7 +58,9 @@ macro_rules! merge_field {
 }
 
 define_counters! {
-    /// Read access faults (block not readable locally), remote.
+    /// Read access faults (block not readable locally), remote. Under SC
+    /// this includes each retry of a read miss whose grant was discarded
+    /// because an invalidation overtook it in flight.
     read_faults: sum,
     /// Write access faults that required communication.
     write_faults: sum,

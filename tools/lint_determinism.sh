@@ -23,6 +23,14 @@
 #      is exempt: FabricConfig::from_env is the DSM_FABRIC parser that the
 #      front ends call.)
 #
+# A fourth rule keeps every protocol action on the one execution history
+# (crates/proto/src/history.rs), so what is counted is what is traced is
+# what is checked:
+#
+#   4. Outside history.rs, code in proto and core never records an event,
+#      a span wait or segment, or calls a checker method; it emits a
+#      History record instead. No allowlist.
+#
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
 set -u
@@ -30,6 +38,8 @@ cd "$(dirname "$0")/.."
 
 DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src"
 ENV_DIRS="crates/sim/src crates/proto/src crates/mc/src"
+HISTORY_DIRS="crates/proto/src crates/core/src"
+HISTORY_SINK="crates/proto/src/history.rs"
 ALLOW="tools/lint_determinism_allow.txt"
 status=0
 
@@ -71,6 +81,14 @@ hits=$(matches 'env::var' $ENV_DIRS)
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: environment variable read in sim/proto/mc (no allowlist for this rule)"
+  status=1
+fi
+
+hits=$(matches '\.record\(|span_wait|span_seg|\.(observe|finalize|mc_fingerprint)\(|check\.as_deref_mut' $HISTORY_DIRS |
+  grep -v "^$HISTORY_SINK:")
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: instrumentation outside $HISTORY_SINK; emit a History record (no allowlist for this rule)"
   status=1
 fi
 
