@@ -8,7 +8,8 @@ use dsm_mem::Layout;
 use dsm_net::{CostModel, LatencyModel, Notify};
 use dsm_obs::{ObsConfig, ObsReport, SharingProfile};
 use dsm_proto::{final_image, ProtoConfig, ProtoWorld, Protocol};
-use dsm_sim::engine::{run_cluster_counted, NodeBody, NodeCtx};
+use dsm_sim::engine::{run_cluster, NodeBody, NodeCtx};
+use dsm_sim::SimError;
 use dsm_stats::{RegionCounters, RunStats};
 
 use crate::api::Dsm;
@@ -302,21 +303,24 @@ fn build_layout(cfg: &RunConfig, program: &dyn DsmProgram) -> (Layout, Vec<Proto
 /// Identical to [`run_parallel`] except that the engine runs strictly
 /// serial with `hook` deciding every commit-point tie, and `fault_oracle`
 /// (when given) replaces the fabric's seeded fault dice with explicit
-/// per-transmission decisions. The hook may abort the run mid-schedule by
-/// returning `None`, which panics with [`dsm_sim::MC_PRUNE`]; callers are
-/// expected to wrap this in `catch_unwind`.
+/// per-transmission decisions. A run that cannot finish returns its
+/// failure: [`SimError::Pruned`] when the hook abandoned the schedule by
+/// returning `None`, [`SimError::Deadlock`] when the event queue ran dry,
+/// or [`SimError::NodePanic`].
 pub fn run_parallel_mc(
     cfg: &RunConfig,
     program: Program,
     hook: Box<dyn dsm_sim::McHook<ProtoWorld>>,
     fault_oracle: Option<dsm_fabric::FaultOracle>,
-) -> RunOutcome {
+) -> Result<RunOutcome, SimError> {
     run_parallel_inner(cfg, program, Some((hook, fault_oracle)))
 }
 
 /// Run `program` on the simulated cluster under `cfg`.
+///
+/// Panics with the [`SimError`] text if the run deadlocks or a node panics.
 pub fn run_parallel(cfg: &RunConfig, program: Program) -> RunOutcome {
-    run_parallel_inner(cfg, program, None)
+    run_parallel_inner(cfg, program, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 type McDrive = (
@@ -324,7 +328,11 @@ type McDrive = (
     Option<dsm_fabric::FaultOracle>,
 );
 
-fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) -> RunOutcome {
+fn run_parallel_inner(
+    cfg: &RunConfig,
+    program: Program,
+    mc: Option<McDrive>,
+) -> Result<RunOutcome, SimError> {
     assert_eq!(
         cfg.sim_threads, 1,
         "RunConfig::sim_threads must be 1: the simulation engine is serial-only"
@@ -391,9 +399,9 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
                     dsm_sim::rng::StableHasher::fingerprint(&(to, pkt))
                 }),
             };
-            dsm_sim::run_cluster_mc(world, bodies, install)
+            dsm_sim::run_cluster_mc(world, bodies, install)?
         }
-        None => run_cluster_counted(world, bodies),
+        None => run_cluster(world, bodies)?,
     };
     // Under a reliable fabric the engine keeps advancing through drained
     // retransmission timers after the last node finishes; the application
@@ -421,7 +429,7 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
         .collect();
     let profile = world.sink.profile.take();
     let violations = world.sink.take_violations(end);
-    RunOutcome {
+    Ok(RunOutcome {
         stats: RunStats {
             per_node: world.sink.stats.clone(),
             parallel_time_ns: end.saturating_sub(world.measure_start),
@@ -433,7 +441,7 @@ fn run_parallel_inner(cfg: &RunConfig, program: Program, mc: Option<McDrive>) ->
         regions,
         profile,
         violations,
-    }
+    })
 }
 
 /// Run `program` sequentially (one node, plain memory). Returns the final

@@ -15,14 +15,13 @@
 //! pruned prefix can never hide a pending violation).
 
 use std::collections::{BTreeMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 
 use dsm_core::{run_parallel_mc, FabricConfig, Program, RunConfig};
 use dsm_fabric::{FaultDecision, FaultOracle};
 use dsm_proto::{Mutation, Packet, ProtoWorld, Protocol, Violation};
 use dsm_sim::rng::fold64;
-use dsm_sim::{McChoice, McEvent, McHook, Time, MC_PRUNE};
+use dsm_sim::{McChoice, McEvent, McHook, SimError, Time};
 
 use crate::oracle;
 use crate::program::{MicroProgram, MicroRunner};
@@ -472,35 +471,6 @@ impl McHook<ProtoWorld> for HookHandle {
     }
 }
 
-static PANIC_HOOK: Once = Once::new();
-
-fn payload_str(p: &(dyn std::any::Any + Send)) -> Option<&str> {
-    p.downcast_ref::<&'static str>()
-        .copied()
-        .or_else(|| p.downcast_ref::<String>().map(|s| s.as_str()))
-}
-
-/// Silence the expected panic families (prunes, deadlocks, and the engine's
-/// cascade panics) so exploration doesn't spray backtraces; everything else
-/// still reaches the previous hook.
-fn install_quiet_panic_hook() {
-    PANIC_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if let Some(m) = payload_str(info.payload()) {
-                if m.starts_with(MC_PRUNE)
-                    || m.starts_with("simulation deadlock")
-                    || m.starts_with("simulation aborted")
-                    || m.starts_with("simulation poisoned")
-                {
-                    return;
-                }
-            }
-            prev(info);
-        }));
-    });
-}
-
 fn run_config(cfg: &McConfig, prog: &MicroProgram) -> RunConfig {
     let fabric = if cfg.fault_budget > 0 {
         // Reliable (framed, acked, retransmitting) fabric with every
@@ -543,7 +513,6 @@ fn record(report: &mut McReport, viols: Vec<Violation>) {
 /// the configured protocol. The search terminates when the branch stack is
 /// exhausted (`complete = true`) or an early-exit bound fires.
 pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
-    install_quiet_panic_hook();
     let core = Arc::new(Mutex::new(McCore::new(cfg)));
     let mut report = McReport::default();
     let mut runs: u64 = 0;
@@ -560,10 +529,7 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
                 as FaultOracle
         });
         let prog_arc: Program = runner.clone();
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            run_parallel_mc(&rc, prog_arc, hook, fault_oracle)
-        }));
-        match out {
+        match run_parallel_mc(&rc, prog_arc, hook, fault_oracle) {
             Ok(outcome) => {
                 report.schedules += 1;
                 let mut viols = outcome.violations;
@@ -578,46 +544,43 @@ pub fn explore(cfg: &McConfig, prog: &MicroProgram) -> McReport {
                 }
                 record(&mut report, viols);
             }
-            Err(payload) => {
-                let msg = payload_str(payload.as_ref()).unwrap_or("");
-                if msg.starts_with(MC_PRUNE) {
-                    match core.lock().unwrap().prune.take() {
-                        Some(Prune::Sleep) => report.pruned_sleep += 1,
-                        Some(Prune::Dedup) => report.pruned_dedup += 1,
-                        Some(Prune::Steps) => {
-                            report.pruned_steps += 1;
-                            record(
-                                &mut report,
-                                vec![Violation {
-                                    rule: RULE_LIVELOCK,
-                                    node: 0,
-                                    block: None,
-                                    time: 0,
-                                    detail: format!(
-                                        "execution exceeded {} commit points",
-                                        cfg.max_steps
-                                    ),
-                                }],
-                            );
-                        }
-                        None => std::panic::resume_unwind(payload),
+            Err(SimError::Pruned) => {
+                let prune = core.lock().unwrap().prune.take();
+                match prune.expect("a pruned run records why the hook pruned it") {
+                    Prune::Sleep => report.pruned_sleep += 1,
+                    Prune::Dedup => report.pruned_dedup += 1,
+                    Prune::Steps => {
+                        report.pruned_steps += 1;
+                        record(
+                            &mut report,
+                            vec![Violation {
+                                rule: RULE_LIVELOCK,
+                                node: 0,
+                                block: None,
+                                time: 0,
+                                detail: format!(
+                                    "execution exceeded {} commit points",
+                                    cfg.max_steps
+                                ),
+                            }],
+                        );
                     }
-                } else if msg.starts_with("simulation deadlock") {
-                    report.deadlocks += 1;
-                    record(
-                        &mut report,
-                        vec![Violation {
-                            rule: RULE_DEADLOCK,
-                            node: 0,
-                            block: None,
-                            time: 0,
-                            detail: msg.to_string(),
-                        }],
-                    );
-                } else {
-                    std::panic::resume_unwind(payload);
                 }
             }
+            Err(e @ SimError::Deadlock { .. }) => {
+                report.deadlocks += 1;
+                record(
+                    &mut report,
+                    vec![Violation {
+                        rule: RULE_DEADLOCK,
+                        node: 0,
+                        block: None,
+                        time: 0,
+                        detail: e.to_string(),
+                    }],
+                );
+            }
+            Err(e @ SimError::NodePanic { .. }) => panic!("{e}"),
         }
         let stop = (cfg.stop_on_violation && !report.violation_counts.is_empty())
             || (cfg.max_schedules > 0 && runs >= cfg.max_schedules);

@@ -493,9 +493,9 @@ mod tests {
     use crate::msg::Envelope;
     use dsm_mem::Layout;
     use dsm_net::Notify;
-    use dsm_sim::engine::SchedInner;
+    use dsm_sim::engine::Sched;
 
-    fn setup() -> (ProtoWorld, SchedInner<Packet>) {
+    fn setup() -> (ProtoWorld, Sched<Packet>) {
         let mut cfg = ProtoConfig::new(
             Layout::new(4096, 256),
             crate::Protocol::Hlrc,
@@ -504,7 +504,7 @@ mod tests {
         cfg.nodes = 4;
         let mut w = ProtoWorld::new(cfg);
         w.load_golden(&vec![3u8; 4096]);
-        (w, SchedInner::for_testing(4))
+        (w, Sched::for_testing(4))
     }
 
     #[test]

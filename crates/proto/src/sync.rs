@@ -412,12 +412,12 @@ mod tests {
     use crate::msg::Envelope;
     use dsm_mem::Layout;
     use dsm_net::Notify;
-    use dsm_sim::engine::SchedInner;
+    use dsm_sim::engine::Sched;
 
-    fn setup(protocol: crate::Protocol) -> (ProtoWorld, SchedInner<Packet>) {
+    fn setup(protocol: crate::Protocol) -> (ProtoWorld, Sched<Packet>) {
         let mut cfg = ProtoConfig::new(Layout::new(4096, 256), protocol, Notify::Polling);
         cfg.nodes = 4;
-        (ProtoWorld::new(cfg), SchedInner::for_testing(4))
+        (ProtoWorld::new(cfg), Sched::for_testing(4))
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn run_script(protocol: Protocol, block: usize, nodes: usize, bodies: Vec<DsmBod
             }) as Body
         })
         .collect();
-    run_cluster(world, wrapped).0
+    run_cluster(world, wrapped).unwrap().0
 }
 
 #[test]
@@ -375,7 +375,7 @@ fn interrupt_grace_window_defers_invalidations() {
                 t.flush();
             }) as Body
         };
-        let (w, _) = run_cluster(world, vec![mk(0), mk(1)]);
+        let (w, _, _) = run_cluster(world, vec![mk(0), mk(1)]).unwrap();
         w.sink
             .stats
             .iter()

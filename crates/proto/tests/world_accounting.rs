@@ -103,7 +103,7 @@ fn header_bytes_are_charged_per_message() {
             t.flush();
         }),
     ];
-    let (w, _) = run_cluster(w, bodies);
+    let (w, _, _) = run_cluster(w, bodies).unwrap();
     let msgs: u64 = w.sink.stats.iter().map(|c| c.msgs_sent).sum();
     let ctrl: u64 = w.sink.stats.iter().map(|c| c.ctrl_bytes).sum();
     assert!(msgs > 0);

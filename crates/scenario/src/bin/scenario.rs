@@ -2,29 +2,35 @@
 //!
 //! ```text
 //! scenario [--jobs N] [--out FILE] [--print-spec] PLAN.json [PLAN.json ...]
+//! scenario --help
 //! ```
 //!
-//! Each plan is parsed strictly (syntax errors exit 2 with line/column,
-//! shape errors with a field path), executed over the bench worker pool,
-//! and emitted as schema-versioned JSONL on stdout (or `--out`): a header
-//! record, one record per repetition, and a mean/min/max aggregate.
-//! Progress goes to stderr. Exit status: 0 when every repetition of every
-//! plan verified with zero checker violations, 1 on any verification
-//! failure or violation, 2 on bad usage or an unparseable plan.
+//! Each plan is parsed strictly (syntax errors name the line/column, shape
+//! errors a field path), executed over the bench worker pool, and emitted
+//! as schema-versioned JSONL on stdout (or `--out`): a header record, one
+//! record per repetition, and a mean/min/max aggregate. Progress goes to
+//! stderr. `--help` prints the synopsis. Exit status: 0 when every
+//! repetition of every plan verified with zero checker violations, 1 on any
+//! verification failure or violation, 2 on bad usage (an unknown flag, a
+//! bad `--jobs`, a missing `--out` value, no plan, or a plan that is
+//! missing or does not parse), reported on one stderr line.
 
 use std::process::ExitCode;
 
 use dsm_scenario::{run_scenario, ScenarioSpec};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: scenario [--jobs N] [--out FILE] [--print-spec] PLAN.json [PLAN.json ...]\n\
-         \n\
-         --jobs N       worker-pool width for repetitions (default: DSM_BENCH_JOBS\n\
-         \x20              or the machine's available parallelism)\n\
-         --out FILE     write the JSONL to FILE instead of stdout\n\
-         --print-spec   parse + validate only; print each plan's canonical JSON"
-    );
+const USAGE: &str = "\
+usage: scenario [--jobs N] [--out FILE] [--print-spec] PLAN.json [PLAN.json ...]
+       scenario --help
+
+--jobs N       worker-pool width for repetitions (default: DSM_BENCH_JOBS
+               or the machine's available parallelism)
+--out FILE     write the JSONL to FILE instead of stdout
+--print-spec   parse + validate only; print each plan's canonical JSON";
+
+/// Report a bad invocation on one stderr line and exit 2.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("scenario: {msg} (see scenario --help)");
     ExitCode::from(2)
 }
 
@@ -39,23 +45,23 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => jobs = n,
-                _ => return usage(),
+                _ => return usage_error("--jobs requires a positive integer"),
             },
             "--out" => match args.next() {
                 Some(p) => out_path = Some(p),
-                None => return usage(),
+                None => return usage_error("--out requires a file path"),
             },
             "--print-spec" => print_spec = true,
             "--help" | "-h" => {
-                usage();
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            _ if a.starts_with('-') => return usage(),
+            flag if flag.starts_with('-') => return usage_error(&format!("unknown flag {flag:?}")),
             _ => files.push(a),
         }
     }
     if files.is_empty() {
-        return usage();
+        return usage_error("no plan files given");
     }
 
     // Parse every plan up front so a typo in the last file fails before
@@ -64,17 +70,11 @@ fn main() -> ExitCode {
     for f in &files {
         let text = match std::fs::read_to_string(f) {
             Ok(t) => t,
-            Err(e) => {
-                eprintln!("scenario: {f}: {e}");
-                return ExitCode::from(2);
-            }
+            Err(e) => return usage_error(&format!("{f}: {e}")),
         };
         match ScenarioSpec::parse(&text) {
             Ok(s) => specs.push(s),
-            Err(e) => {
-                eprintln!("scenario: {f}: {e}");
-                return ExitCode::from(2);
-            }
+            Err(e) => return usage_error(&format!("{f}: {e}")),
         }
     }
 

@@ -4,25 +4,72 @@
 //! global `(time, seq)` order by a single drive loop. Two drive modes share
 //! it:
 //!
-//! * **Serial** ([`run_cluster`], [`run_cluster_counted`]): exactly one
-//!   logical entity runs at any instant; whichever node thread is active
-//!   drives the event loop and hands control over via condvars.
+//! * **Serial** ([`run_cluster`]): exactly one logical entity runs at any
+//!   instant; whichever node thread is active drives the event loop and
+//!   hands control over via condvars.
 //! * **Model-checked** ([`run_cluster_mc`]): the same loop, except that every
 //!   set of events tied at the head virtual time is offered to an
 //!   [`McHook`], which picks the one that commits.
+//!
+//! A run that cannot finish ends with a [`SimError`]: the first failure
+//! recorded wins, every node thread leaves its body by a silent unwind, and
+//! the caller gets the error after all threads are joined.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::queue::BucketQueue;
 use crate::rng::fold64;
 use crate::time::Time;
 use crate::NodeId;
 
-/// Panic payload used when a model-checker hook abandons an execution
-/// mid-run ([`McHook::choose`] returned `None`). The exploration driver
-/// catches this with `catch_unwind` and treats the run as pruned, not
-/// failed.
-pub const MC_PRUNE: &str = "dsm-mc: schedule pruned";
+/// Why a run ended without every node body returning.
+#[derive(Debug, PartialEq, Eq)]
+pub enum SimError {
+    /// The event queue ran dry while some node was still waiting.
+    Deadlock {
+        /// Virtual time at which the queue ran dry.
+        at: Time,
+        /// Every node's scheduling status at that point, by node id.
+        statuses: Vec<Status>,
+    },
+    /// A model-checker hook abandoned the execution ([`McHook::choose`]
+    /// returned `None`).
+    Pruned,
+    /// A node body, or a message handler it was driving, panicked.
+    NodePanic {
+        /// The node whose thread raised the panic.
+        node: NodeId,
+        /// The panic message (empty if the payload was not a string).
+        message: String,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Deadlock { statuses, .. } => write!(
+                f,
+                "simulation deadlock: event queue empty, node states {statuses:?}"
+            ),
+            SimError::Pruned => f.write_str("simulation pruned by the model-checker hook"),
+            SimError::NodePanic { node, message } => write!(f, "node {node} panicked: {message}"),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+/// Unwind payload that takes a node thread out of its body once the run has
+/// failed. Raised with `resume_unwind`, so no panic hook sees it.
+struct Abort;
+
+impl Abort {
+    fn unwind(self) -> ! {
+        resume_unwind(Box::new(self))
+    }
+}
 
 /// One co-enabled event offered to a model-checker hook at a commit point.
 pub struct McChoice<'a, M> {
@@ -57,8 +104,8 @@ pub enum McEvent<'a, M> {
 ///
 /// The hook is called at *every* commit point, singletons included, so it
 /// can maintain replay position, sleep sets, and step bounds uniformly.
-/// Returning `None` abandons the execution: the engine poisons itself and
-/// panics with [`MC_PRUNE`], which the exploration driver catches.
+/// Returning `None` abandons the execution: the run ends with
+/// [`SimError::Pruned`].
 pub trait McHook<W: World>: Send {
     /// Pick which of `choices` (all tied at virtual time `at`) commits.
     ///
@@ -113,11 +160,14 @@ pub trait World: Send + 'static {
 
 /// Scheduling status of a node thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
+pub enum Status {
     /// Currently executing (at most one node at a time).
     Running,
     /// Will resume at the given virtual time (it is computing until then).
-    Ready { at: Time },
+    Ready {
+        /// The resume time.
+        at: Time,
+    },
     /// Parked until a handler calls [`Sched::wake`].
     Blocked,
     /// Node body returned.
@@ -141,13 +191,13 @@ struct NodeSlot {
     pending_wake: Option<Time>,
 }
 
-/// Event queue plus node scheduling state. Exposed to message handlers and
-/// node contexts as [`Sched`].
-pub struct SchedInner<M> {
+/// Event queue plus node scheduling state: the handle given to
+/// [`World::deliver`] and [`NodeCtx::world`] closures for interacting with
+/// the event queue.
+pub struct Sched<M> {
     now: Time,
     queue: BucketQueue<EventKind<M>>,
     nodes: Vec<NodeSlot>,
-    done_count: usize,
     /// Events popped and processed (resumes, stale resumes, deliveries) —
     /// the simulator's native unit of work, deterministic per run.
     events: u64,
@@ -158,20 +208,16 @@ pub struct SchedInner<M> {
     /// Model-checked runs only: content hash for queued messages. Doubles as
     /// the "mc mode" flag on the scheduler side.
     mc_msg_hash: Option<McMsgHash<M>>,
-    /// Model-checked runs only: XOR of [`SchedInner::mc_event_hash`] over
+    /// Model-checked runs only: XOR of [`Sched::mc_event_hash`] over
     /// every event currently in the queue — an incremental, order-independent
     /// fingerprint of the pending-event multiset.
     queue_hash: u64,
 }
 
-/// Handle given to [`World::deliver`] and [`NodeCtx::world`] closures for
-/// interacting with the event queue.
-pub type Sched<M> = SchedInner<M>;
-
-impl<M> SchedInner<M> {
+impl<M> Sched<M> {
     /// Standalone scheduler for unit-testing message handlers outside the
     /// engine: events accumulate in the queue and can be drained with
-    /// [`SchedInner::take_events`]; nodes start `Ready` so wakes on them
+    /// [`Sched::take_events`]; nodes start `Ready` so wakes on them
     /// are recorded as pending.
     pub fn for_testing(n: usize) -> Self {
         let mut s = Self::new(n);
@@ -201,7 +247,7 @@ impl<M> SchedInner<M> {
     }
 
     fn new(n: usize) -> Self {
-        SchedInner {
+        Sched {
             now: 0,
             queue: BucketQueue::new(),
             nodes: (0..n)
@@ -211,7 +257,6 @@ impl<M> SchedInner<M> {
                     pending_wake: None,
                 })
                 .collect(),
-            done_count: 0,
             events: 0,
             exec: None,
             mc_msg_hash: None,
@@ -348,21 +393,54 @@ impl<M> SchedInner<M> {
 }
 
 struct SimState<W: World> {
-    sched: SchedInner<W::Msg>,
+    sched: Sched<W::Msg>,
     /// Taken out while a handler runs so `deliver` can borrow world and
     /// scheduler simultaneously.
     world: Option<W>,
-    /// Set if a node thread panicked; everyone else bails out.
-    poisoned: bool,
+    /// The run's first failure. Once set, every node thread leaves its body
+    /// and the run returns it.
+    failure: Option<SimError>,
     /// Model-checker hook controlling every commit point.
     mc: Option<Box<dyn McHook<W>>>,
 }
 
 struct Shared<W: World> {
     state: Mutex<SimState<W>>,
-    /// One condvar per node for hand-off, plus one for run completion.
+    /// One condvar per node for hand-off.
     node_cvs: Vec<Condvar>,
-    done_cv: Condvar,
+}
+
+impl<W: World> Shared<W> {
+    /// Lock the engine state, ignoring lock poisoning: a panic under the
+    /// lock is recorded in `failure` by its catch site, and once `failure`
+    /// is set nothing reads the rest of the state.
+    fn lock(&self) -> MutexGuard<'_, SimState<W>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Record `err` unless an earlier failure already won, and wake every
+    /// parked node so it leaves its body.
+    fn fail(&self, g: &mut SimState<W>, err: SimError) {
+        g.failure.get_or_insert(err);
+        for cv in &self.node_cvs {
+            cv.notify_all();
+        }
+    }
+
+    /// Wait until a driver hands `me` control (`Ok`) or the run fails.
+    fn park(&self, mut g: MutexGuard<'_, SimState<W>>, me: NodeId) -> Result<(), Abort> {
+        loop {
+            if g.failure.is_some() {
+                return Err(Abort);
+            }
+            if g.sched.nodes[me].status == Status::Running {
+                return Ok(());
+            }
+            g = self.node_cvs[me]
+                .wait(g)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// A node's program: one closure per simulated node.
@@ -394,15 +472,12 @@ impl<W: World> NodeCtx<W> {
     }
 
     fn lock(&self) -> MutexGuard<'_, SimState<W>> {
-        match self.shared.state.lock() {
-            Ok(g) => {
-                if g.poisoned {
-                    panic!("simulation aborted: another node panicked");
-                }
-                g
-            }
-            Err(_) => panic!("simulation poisoned by a panicking node"),
+        let g = self.shared.lock();
+        if g.failure.is_some() {
+            drop(g);
+            Abort.unwind();
         }
+        g
     }
 
     /// Advance this node's virtual clock by `dt` nanoseconds of computation.
@@ -430,7 +505,7 @@ impl<W: World> NodeCtx<W> {
                 gen,
             },
         );
-        drive_serial(&self.shared, g, Some(self.node));
+        drive_serial(&self.shared, g, Some(self.node)).unwrap_or_else(|a| a.unwind());
     }
 
     /// Park this node until a message handler calls [`Sched::wake`] for it.
@@ -455,7 +530,7 @@ impl<W: World> NodeCtx<W> {
         } else {
             slot.status = Status::Blocked;
         }
-        drive_serial(&self.shared, g, Some(self.node));
+        drive_serial(&self.shared, g, Some(self.node)).unwrap_or_else(|a| a.unwind());
     }
 
     /// Run `f` with exclusive access to the world and the scheduler.
@@ -476,25 +551,16 @@ impl<W: World> NodeCtx<W> {
         let slot = &mut g.sched.nodes[self.node];
         debug_assert_eq!(slot.status, Status::Running);
         slot.status = Status::Done;
-        g.sched.done_count += 1;
-        let all_done = g.sched.done_count == g.sched.nodes.len();
         // Drive until control is handed to another node. Once every node is
         // done this drains the in-flight messages instead, so their effects
         // (stats, traffic) are accounted for.
-        drive_serial(&self.shared, g, None);
-        if all_done {
-            self.shared.done_cv.notify_all();
-        }
+        drive_serial(&self.shared, g, None).unwrap_or_else(|a| a.unwind());
     }
 }
 
-/// Result of a model-checked pop: an event to execute, queue exhausted, or
-/// "abandon this execution" (the hook pruned the schedule).
-enum McPop<M> {
-    Ev(Time, EventKind<M>),
-    Empty,
-    Prune,
-}
+/// A popped event, `None` when the queue is exhausted, or
+/// [`SimError::Pruned`] when the hook abandoned the execution.
+type Popped<M> = Result<Option<(Time, EventKind<M>)>, SimError>;
 
 /// Pop the next event, routing the choice through the model-checker hook
 /// when one is installed: gather every event tied at the head virtual time,
@@ -502,16 +568,13 @@ enum McPop<M> {
 /// identically), and let the hook pick which one commits. Unchosen events
 /// are restored with their original `(time, seq)` keys, so the order among
 /// them is untouched.
-fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
+fn mc_next_event<W: World>(st: &mut SimState<W>) -> Popped<W::Msg> {
     if st.mc.is_none() {
-        return match st.sched.next_event() {
-            Some((at, kind)) => McPop::Ev(at, kind),
-            None => McPop::Empty,
-        };
+        return Ok(st.sched.next_event());
     }
     loop {
         let Some((head, _)) = st.sched.queue.peek_key() else {
-            return McPop::Empty;
+            return Ok(None);
         };
         let mut tied: Vec<(Time, u64, EventKind<W::Msg>)> = Vec::new();
         while st.sched.queue.peek_key().is_some_and(|(t, _)| t == head) {
@@ -566,7 +629,7 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
             .choose(world, eh, head, &choices);
         drop(choices);
         let Some(pick) = pick else {
-            return McPop::Prune;
+            return Err(SimError::Pruned);
         };
         assert!(pick < tied.len(), "mc hook chose {pick} of {}", tied.len());
         let mut chosen = None;
@@ -582,7 +645,7 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
         let h = st.sched.mc_event_hash(at, &kind);
         st.sched.queue_hash ^= h;
         st.sched.events += 1;
-        return McPop::Ev(at, kind);
+        return Ok(Some((at, kind)));
     }
 }
 
@@ -590,38 +653,32 @@ fn mc_next_event<W: World>(st: &mut SimState<W>) -> McPop<W::Msg> {
 /// until `me`'s own resume commits (`Some`), or until control is handed to
 /// another node's thread (`None` — the startup kick-off and finishing nodes
 /// hand off and return; the last node to finish drains the queue).
+/// `Err` means the run has failed and the caller must leave its body.
 fn drive_serial<W: World>(
     shared: &Shared<W>,
     mut g: MutexGuard<'_, SimState<W>>,
     me: Option<NodeId>,
-) {
+) -> Result<(), Abort> {
     loop {
         let (at, kind) = match mc_next_event(&mut g) {
-            McPop::Ev(at, kind) => (at, kind),
-            McPop::Prune => {
-                g.poisoned = true;
-                for cv in &shared.node_cvs {
-                    cv.notify_all();
-                }
-                shared.done_cv.notify_all();
-                panic!("{MC_PRUNE}");
-            }
-            McPop::Empty => {
+            Ok(Some(ev)) => ev,
+            Ok(None) => {
                 // Nothing left to do. A driving node is itself blocked or
                 // ready, so an empty queue is a deadlock; a finishing node
                 // (`me == None`) returns cleanly when every other node is
                 // done too.
                 let any_blocked = g.sched.nodes.iter().any(|s| s.status == Status::Blocked);
                 if me.is_none() && !any_blocked {
-                    return;
+                    return Ok(());
                 }
-                let statuses: Vec<_> = g.sched.nodes.iter().map(|s| s.status).collect();
-                g.poisoned = true;
-                for cv in &shared.node_cvs {
-                    cv.notify_all();
-                }
-                shared.done_cv.notify_all();
-                panic!("simulation deadlock: event queue empty, node states {statuses:?}");
+                let at = g.sched.now;
+                let statuses = g.sched.nodes.iter().map(|s| s.status).collect();
+                shared.fail(&mut g, SimError::Deadlock { at, statuses });
+                return Err(Abort);
+            }
+            Err(e) => {
+                shared.fail(&mut g, e);
+                return Err(Abort);
             }
         };
         debug_assert!(at >= g.sched.now);
@@ -650,25 +707,15 @@ fn drive_serial<W: World>(
                 g.sched.now = at;
                 g.sched.nodes[node].status = Status::Running;
                 if me == Some(node) {
-                    return;
+                    return Ok(());
                 }
                 // Hand off to the resumed node's thread.
                 shared.node_cvs[node].notify_one();
-                let Some(me) = me else {
-                    return;
-                };
                 // Park until a future driver resumes us.
-                loop {
-                    g = shared.node_cvs[me]
-                        .wait(g)
-                        .unwrap_or_else(|_| panic!("simulation poisoned"));
-                    if g.poisoned {
-                        panic!("simulation aborted: another node panicked");
-                    }
-                    if g.sched.nodes[me].status == Status::Running {
-                        return;
-                    }
-                }
+                return match me {
+                    Some(me) => shared.park(g, me),
+                    None => Ok(()),
+                };
             }
         }
     }
@@ -677,39 +724,44 @@ fn drive_serial<W: World>(
 /// Run a simulated cluster to completion and return the final world.
 ///
 /// `bodies` supplies one closure per node; all nodes start at virtual time 0.
-/// Returns the world and the final virtual time (the maximum over all node
-/// completion times and message deliveries).
-pub fn run_cluster<W: World>(world: W, bodies: Vec<NodeBody<W>>) -> (W, Time) {
-    let (w, t, _) = run_cluster_inner(world, bodies, None);
-    (w, t)
-}
-
-/// [`run_cluster`] plus the number of simulator events processed — the
-/// denominator of the events/sec throughput metric.
-pub fn run_cluster_counted<W: World>(world: W, bodies: Vec<NodeBody<W>>) -> (W, Time, u64) {
+/// Returns the world, the final virtual time (the maximum over all node
+/// completion times and message deliveries) and the number of simulator
+/// events processed, or the run's first failure.
+pub fn run_cluster<W: World>(
+    world: W,
+    bodies: Vec<NodeBody<W>>,
+) -> Result<(W, Time, u64), SimError> {
     run_cluster_inner(world, bodies, None)
 }
 
 /// Run a cluster under a model-checker hook: fully serialized, with every
 /// commit point routed through [`McHook::choose`]. A pruned execution (the
-/// hook returned `None`) panics with [`MC_PRUNE`]; the exploration driver
-/// wraps this call in `catch_unwind`.
+/// hook returned `None`) ends with [`SimError::Pruned`].
 pub fn run_cluster_mc<W: World>(
     world: W,
     bodies: Vec<NodeBody<W>>,
     mc: McInstall<W>,
-) -> (W, Time, u64) {
+) -> Result<(W, Time, u64), SimError> {
     run_cluster_inner(world, bodies, Some(mc))
+}
+
+/// The text of a panic payload, if it is a string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&'static str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
 }
 
 fn run_cluster_inner<W: World>(
     world: W,
     bodies: Vec<NodeBody<W>>,
     mc: Option<McInstall<W>>,
-) -> (W, Time, u64) {
+) -> Result<(W, Time, u64), SimError> {
     let n = bodies.len();
     assert!(n > 0, "cluster needs at least one node");
-    let mut sched = SchedInner::new(n);
+    let mut sched = Sched::new(n);
     let (hook, msg_hash) = match mc {
         Some(m) => (Some(m.hook), Some(m.msg_hash)),
         None => (None, None),
@@ -728,11 +780,10 @@ fn run_cluster_inner<W: World>(
         state: Mutex::new(SimState {
             sched,
             world: Some(world),
-            poisoned: false,
+            failure: None,
             mc: hook,
         }),
         node_cvs: (0..n).map(|_| Condvar::new()).collect(),
-        done_cv: Condvar::new(),
     });
 
     let handles: Vec<_> = bodies
@@ -744,36 +795,21 @@ fn run_cluster_inner<W: World>(
                 .name(format!("dsm-node-{node}"))
                 .spawn(move || {
                     let mut ctx = NodeCtx { shared, node };
-                    // Wait for our first Resume.
-                    {
-                        let mut g = ctx.lock();
-                        while g.sched.nodes[node].status != Status::Running {
-                            if g.poisoned {
-                                panic!("simulation aborted before start");
-                            }
-                            g = ctx.shared.node_cvs[node]
-                                .wait(g)
-                                .unwrap_or_else(|_| panic!("simulation poisoned"));
-                        }
-                    }
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-                    match result {
-                        Ok(()) => ctx.finish(),
-                        Err(e) => {
-                            // Poison the simulation so every parked thread
-                            // and the main thread bail out promptly. The
-                            // mutex itself may already be poisoned if the
-                            // panic happened under the lock.
-                            match ctx.shared.state.lock() {
-                                Ok(mut g) => g.poisoned = true,
-                                Err(e) => e.into_inner().poisoned = true,
-                            }
-                            for cv in &ctx.shared.node_cvs {
-                                cv.notify_all();
-                            }
-                            ctx.shared.done_cv.notify_all();
-                            std::panic::resume_unwind(e);
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        // Wait for our first Resume.
+                        ctx.shared
+                            .park(ctx.shared.lock(), node)
+                            .unwrap_or_else(|a| a.unwind());
+                        body(&mut ctx);
+                        ctx.finish();
+                    }));
+                    // An `Abort` unwind only follows a failure already
+                    // recorded; anything else is this node's own panic.
+                    if let Err(payload) = run {
+                        if !payload.is::<Abort>() {
+                            let message = panic_message(payload.as_ref());
+                            let err = SimError::NodePanic { node, message };
+                            ctx.shared.fail(&mut ctx.shared.lock(), err);
                         }
                     }
                 })
@@ -782,63 +818,20 @@ fn run_cluster_inner<W: World>(
         .collect();
 
     // Kick off node 0: it is Ready at t=0 at the head of the queue, but no
-    // thread is driving yet. Drive until the first hand-off, then wait for
-    // completion.
-    let mut g = match shared.state.lock() {
-        Ok(g) => g,
-        Err(e) => e.into_inner(),
-    };
-    drive_serial(&shared, g, None);
-    g = match shared.state.lock() {
-        Ok(g) => g,
-        Err(e) => e.into_inner(),
-    };
-    loop {
-        if g.sched.done_count == n || g.poisoned {
-            break;
-        }
-        g = match shared.done_cv.wait(g) {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        };
-    }
-    drop(g);
-
-    // Re-raise the root-cause panic, not one of the cascade panics other
-    // threads raise when they notice the poisoned state (the model-checking
-    // driver distinguishes MC_PRUNE / deadlock payloads from real failures).
-    fn is_cascade(e: &(dyn std::any::Any + Send)) -> bool {
-        let msg = e
-            .downcast_ref::<&'static str>()
-            .copied()
-            .or_else(|| e.downcast_ref::<String>().map(|s| s.as_str()));
-        msg.is_some_and(|m| {
-            m.starts_with("simulation aborted") || m.starts_with("simulation poisoned")
-        })
-    }
-    let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
+    // thread is driving yet. Drive until the first hand-off; a failure at
+    // that first commit point is recorded like any other.
+    let _ = drive_serial(&shared, shared.lock(), None);
     for h in handles {
-        if let Err(e) = h.join() {
-            let keep = match &panicked {
-                None => true,
-                Some(p) => is_cascade(p.as_ref()) && !is_cascade(e.as_ref()),
-            };
-            if keep {
-                panicked = Some(e);
-            }
-        }
-    }
-    if let Some(e) = panicked {
-        std::panic::resume_unwind(e);
+        h.join().expect("node threads catch their own panics");
     }
 
-    let mut g = match shared.state.lock() {
-        Ok(g) => g,
-        Err(e) => e.into_inner(),
-    };
+    let mut g = shared.lock();
+    if let Some(err) = g.failure.take() {
+        return Err(err);
+    }
     let t = g.sched.now;
     let events = g.sched.events;
-    (g.world.take().expect("world"), t, events)
+    Ok((g.world.take().expect("world"), t, events))
 }
 
 #[cfg(test)]
@@ -868,7 +861,7 @@ mod tests {
             log: vec![],
             wake_on: vec![None, None],
         };
-        let (_, t) = run_cluster(
+        let (_, t, _) = run_cluster(
             world,
             vec![
                 Box::new(|ctx: &mut NodeCtx<TestWorld>| {
@@ -882,7 +875,8 @@ mod tests {
                     assert_eq!(ctx.now(), 500);
                 }),
             ],
-        );
+        )
+        .unwrap();
         assert_eq!(t, 500);
     }
 
@@ -892,7 +886,7 @@ mod tests {
             log: vec![],
             wake_on: vec![None, Some(7)],
         };
-        let (w, _) = run_cluster(
+        let (w, _, _) = run_cluster(
             world,
             vec![
                 Box::new(|ctx: &mut NodeCtx<TestWorld>| {
@@ -904,7 +898,8 @@ mod tests {
                     assert_eq!(ctx.now(), 250);
                 }),
             ],
-        );
+        )
+        .unwrap();
         assert_eq!(w.log, vec![(250, 1, 7)]);
     }
 
@@ -926,14 +921,15 @@ mod tests {
                 }
             }
         }
-        let (w, t) = run_cluster(
+        let (w, t, _) = run_cluster(
             ChainWorld { log: vec![] },
             vec![Box::new(|ctx: &mut NodeCtx<ChainWorld>| {
                 // Post the chain's head and return immediately: the whole
                 // chain runs in the post-Done drain.
                 ctx.world(|_, s| s.post(0, 1_000, 0));
             })],
-        );
+        )
+        .unwrap();
         assert_eq!(w.log, vec![(1_000, 0), (1_100, 1), (1_200, 2), (1_300, 3)]);
         assert_eq!(t, 1_300, "drain must advance the clock through the chain");
     }
@@ -950,7 +946,7 @@ mod tests {
                 sched.delay(to, until);
             }
         }
-        let (_, t) = run_cluster(
+        let (_, t, _) = run_cluster(
             DelayWorld,
             vec![
                 Box::new(|ctx: &mut NodeCtx<DelayWorld>| {
@@ -964,7 +960,8 @@ mod tests {
                     assert_eq!(ctx.now(), 300);
                 }),
             ],
-        );
+        )
+        .unwrap();
         assert_eq!(t, 300);
     }
 
@@ -990,7 +987,7 @@ mod tests {
                     }) as TestBody
                 })
                 .collect();
-            run_cluster(world, bodies).0.log
+            run_cluster(world, bodies).unwrap().0.log
         }
         let a = run_once();
         let b = run_once();
@@ -999,18 +996,59 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
-    fn blocked_forever_panics() {
+    fn blocked_forever_is_a_deadlock() {
         let world = TestWorld {
             log: vec![],
             wake_on: vec![None],
         };
-        run_cluster(
+        let err = run_cluster(
             world,
             vec![Box::new(|ctx: &mut NodeCtx<TestWorld>| {
+                ctx.advance(10);
                 ctx.block();
             })],
+        )
+        .err()
+        .expect("a node blocked forever must fail the run");
+        assert_eq!(
+            err,
+            SimError::Deadlock {
+                at: 10,
+                statuses: vec![Status::Blocked]
+            }
         );
+        assert_eq!(
+            err.to_string(),
+            "simulation deadlock: event queue empty, node states [Blocked]"
+        );
+    }
+
+    #[test]
+    fn body_panic_is_reported_with_its_node() {
+        let world = TestWorld {
+            log: vec![],
+            wake_on: vec![None; 3],
+        };
+        let err = run_cluster(
+            world,
+            vec![
+                Box::new(|ctx: &mut NodeCtx<TestWorld>| ctx.block()),
+                Box::new(|ctx: &mut NodeCtx<TestWorld>| {
+                    ctx.advance(5);
+                    panic!("node one gives up at {}", ctx.now());
+                }),
+                Box::new(|ctx: &mut NodeCtx<TestWorld>| ctx.advance(1_000)),
+            ],
+        )
+        .err()
+        .expect("a panicking body must fail the run");
+        match err {
+            SimError::NodePanic { node, message } => {
+                assert_eq!(node, 1);
+                assert!(message.contains("node one gives up at 5"), "{message}");
+            }
+            other => panic!("expected a node panic, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1026,7 +1064,7 @@ mod tests {
                 sched.wake(to, now + 5);
             }
         }
-        let (_, t) = run_cluster(
+        let (_, t, _) = run_cluster(
             WakeEarly,
             vec![
                 Box::new(|ctx: &mut NodeCtx<WakeEarly>| {
@@ -1041,7 +1079,8 @@ mod tests {
                     assert_eq!(ctx.now(), 100);
                 }),
             ],
-        );
+        )
+        .unwrap();
         assert_eq!(t, 100);
     }
 
@@ -1063,7 +1102,7 @@ mod tests {
                 }
             }
         }
-        let (_, t) = run_cluster(
+        let (_, t, _) = run_cluster(
             DelayBlocked,
             vec![
                 Box::new(|ctx: &mut NodeCtx<DelayBlocked>| {
@@ -1076,7 +1115,8 @@ mod tests {
                     assert_eq!(ctx.now(), 51);
                 }),
             ],
-        );
+        )
+        .unwrap();
         assert_eq!(t, 51);
     }
 
@@ -1097,13 +1137,14 @@ mod tests {
                 }
             }
         }
-        let (w, _) = run_cluster(
+        let (w, _, _) = run_cluster(
             PastPost { got: vec![] },
             vec![Box::new(|ctx: &mut NodeCtx<PastPost>| {
                 ctx.world(|_, s| s.post(0, 500, true));
                 ctx.advance(1_000);
             })],
-        );
+        )
+        .unwrap();
         assert_eq!(w.got, vec![500]);
     }
 
@@ -1113,7 +1154,7 @@ mod tests {
             log: vec![],
             wake_on: vec![None, None],
         };
-        let (w, _) = run_cluster(
+        let (w, _, _) = run_cluster(
             world,
             vec![
                 Box::new(|ctx: &mut NodeCtx<TestWorld>| {
@@ -1128,7 +1169,8 @@ mod tests {
                     ctx.advance(200);
                 }),
             ],
-        );
+        )
+        .unwrap();
         let tags: Vec<u32> = w.log.iter().map(|&(_, _, m)| m).collect();
         assert_eq!(tags, vec![1, 2, 3]);
     }
@@ -1177,7 +1219,8 @@ mod tests {
                 hook: Box::new(PickHook(|n: usize, _| Some(n - 1))),
                 msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
             },
-        );
+        )
+        .unwrap();
         let tags: Vec<u32> = w.log.iter().map(|&(_, _, m)| m).collect();
         assert_eq!(tags, vec![3, 2, 1], "picking last reverses the tie");
     }
@@ -1201,7 +1244,8 @@ mod tests {
                     })),
                     msg_hash: Box::new(|to, m: &u32| fold64(u64::from(*m), to as u64)),
                 },
-            );
+            )
+            .unwrap();
             let hs = hashes.lock().unwrap().clone();
             (w.log, hs, ev)
         }
@@ -1212,6 +1256,7 @@ mod tests {
             },
             tie_bodies(),
         )
+        .unwrap()
         .0
         .log;
         let (log_a, hashes_a, ev_a) = mc_run();
@@ -1224,38 +1269,45 @@ mod tests {
     }
 
     #[test]
-    fn mc_prune_panics_with_sentinel() {
+    fn mc_prune_is_reported_as_pruned() {
         let world = TestWorld {
             log: vec![],
             wake_on: vec![None, None],
         };
         let mut steps = 0u32;
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_cluster_mc(
-                world,
-                tie_bodies(),
-                McInstall {
-                    hook: Box::new(PickHook(move |_, _| {
-                        steps += 1;
-                        if steps > 2 {
-                            None
-                        } else {
-                            Some(0)
-                        }
-                    })),
-                    msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
-                },
-            )
-        }));
-        let e = match r {
-            Ok(_) => panic!("pruned run must panic"),
-            Err(e) => e,
-        };
-        let msg = e
-            .downcast_ref::<&'static str>()
-            .copied()
-            .or_else(|| e.downcast_ref::<String>().map(|s| s.as_str()))
-            .unwrap_or("");
-        assert_eq!(msg, MC_PRUNE);
+        let r = run_cluster_mc(
+            world,
+            tie_bodies(),
+            McInstall {
+                hook: Box::new(PickHook(move |_, _| {
+                    steps += 1;
+                    if steps > 2 {
+                        None
+                    } else {
+                        Some(0)
+                    }
+                })),
+                msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
+            },
+        );
+        assert_eq!(r.err(), Some(SimError::Pruned));
+    }
+
+    #[test]
+    fn mc_prune_at_the_first_commit_point() {
+        // The kick-off commit point runs on the calling thread, before any
+        // node body starts: a prune there ends the run the same way.
+        let r = run_cluster_mc(
+            TestWorld {
+                log: vec![],
+                wake_on: vec![None, None],
+            },
+            tie_bodies(),
+            McInstall {
+                hook: Box::new(PickHook(|_, _| None)),
+                msg_hash: Box::new(|_, m: &u32| u64::from(*m)),
+            },
+        );
+        assert_eq!(r.err(), Some(SimError::Pruned));
     }
 }

@@ -23,6 +23,12 @@
 //! Messages posted with [`Sched::post`] are delivered by calling
 //! [`World::deliver`] at their arrival time; the handler runs inline on
 //! whichever thread is currently driving the event loop.
+//!
+//! A run either completes or ends with one [`SimError`]: a deadlock (the
+//! queue ran dry with a node still waiting), a model-checker prune, or a
+//! node panic. The first failure recorded wins; the other node threads
+//! leave their bodies by a silent unwind that no panic hook sees, and the
+//! error is returned only after every thread has been joined.
 
 pub mod engine;
 pub mod queue;
@@ -30,8 +36,8 @@ pub mod rng;
 pub mod time;
 
 pub use engine::{
-    run_cluster, run_cluster_counted, run_cluster_mc, McChoice, McEvent, McHook, McInstall,
-    NodeCtx, Sched, World, MC_PRUNE,
+    run_cluster, run_cluster_mc, McChoice, McEvent, McHook, McInstall, NodeCtx, Sched, SimError,
+    World,
 };
 pub use time::{Time, MICROS, MILLIS, SECS};
 

@@ -31,6 +31,14 @@
 #      a span wait or segment, or calls a checker method; it emits a
 #      History record instead. No allowlist.
 #
+# A fifth rule keeps failures typed: the engine is the one place that turns
+# a panic into a SimError value, and nobody touches the process-wide panic
+# hook.
+#
+#   5. catch_unwind, resume_unwind, set_hook and take_hook appear in sim,
+#      proto, fabric, mc and core src only in crates/sim/src/engine.rs.
+#      No allowlist.
+#
 # Comment lines are ignored. Run from anywhere; CI runs it on every push.
 
 set -u
@@ -40,6 +48,8 @@ DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src"
 ENV_DIRS="crates/sim/src crates/proto/src crates/mc/src"
 HISTORY_DIRS="crates/proto/src crates/core/src"
 HISTORY_SINK="crates/proto/src/history.rs"
+UNWIND_DIRS="crates/sim/src crates/proto/src crates/fabric/src crates/mc/src crates/core/src"
+UNWIND_SITE="crates/sim/src/engine.rs"
 ALLOW="tools/lint_determinism_allow.txt"
 status=0
 
@@ -89,6 +99,14 @@ hits=$(matches '\.record\(|span_wait|span_seg|\.(observe|finalize|mc_fingerprint
 if [ -n "$hits" ]; then
   echo "$hits"
   echo "lint_determinism: instrumentation outside $HISTORY_SINK; emit a History record (no allowlist for this rule)"
+  status=1
+fi
+
+hits=$(matches '\b(catch_unwind|resume_unwind|set_hook|take_hook)\b' $UNWIND_DIRS |
+  grep -v "^$UNWIND_SITE:")
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "lint_determinism: panic catching or hook use outside $UNWIND_SITE; return a SimError (no allowlist for this rule)"
   status=1
 fi
 
